@@ -39,9 +39,14 @@ let () =
   Printf.printf "  prenex:            %s\n" (F.to_string (RW.requantify prefix matrix));
   let mode, eliminated = RW.eliminate_leading (prefix, matrix) in
   Printf.printf "  drop leading run:  %s   [check: %s]\n" (F.to_string eliminated)
-    (match mode with RW.Check_valid -> "validity" | RW.Check_satisfiable -> "satisfiability");
+    (RW.check_name mode);
   let pushed = RW.push_forall eliminated in
   Printf.printf "  push-down foralls: %s\n" (F.to_string pushed);
+  (match mode with
+  | RW.Check_valid ->
+    Printf.printf "  violation form:    %s   [check: unsatisfiable]\n"
+      (F.to_string (RW.violation eliminated))
+  | RW.Check_satisfiable | RW.Check_unsatisfiable -> ());
 
   (* --- SQL route ------------------------------------------------------- *)
   let sql_outcome, sql_ms = Core.Checker.check_sql db c in

@@ -4,7 +4,8 @@
 
     + typecheck ({!Typing});
     + apply the §4.4 rewrite pipeline ({!Rewrite.optimize}): prenex →
-      leading-quantifier elimination → ∀ push-down;
+      leading-quantifier elimination → negation (violation polarity)
+      → ∀ push-down on the formula to be compiled;
     + compile the remaining formula to a BDD over the indices
       ({!Compile}), under the manager's {b node budget};
     + read the answer off the final BDD in O(1): validity or
@@ -61,75 +62,46 @@ type result = {
           check — the classical path is byte-for-byte unchanged *)
 }
 
-(** How the final test is phrased.  [Violation] compiles the {e
-    negation} of the validity matrix in NNF and tests
-    unsatisfiability: negations then sit on the (small, sparse) atom
-    BDDs and conjunctions short-circuit, instead of negating large
-    dense intermediates — this is also operationally the paper's
-    framing ("identify whether the constraint is violated").
-    [Direct] compiles the matrix as-is and tests validity. *)
-type polarity = Direct | Violation
-
 type pipeline = {
   rewrite : Formula.t -> Rewrite.check * Formula.t;
+      (** the check mode and the formula to compile — the polarity is
+          the rewrite's choice ({!Rewrite.polarity}) *)
   use_appquant : bool;
-  polarity : polarity;
   use_fd_fast_path : bool;
       (** route FD-shaped constraints to the projection-count method
           (the paper's Fig. 5(b) technique) instead of compiling the
           self-join *)
 }
 
-(** The paper's full pipeline. *)
+(** The paper's full pipeline, under the violation polarity. *)
 let default_pipeline =
-  {
-    rewrite = Rewrite.optimize;
-    use_appquant = true;
-    polarity = Violation;
-    use_fd_fast_path = true;
-  }
+  { rewrite = Rewrite.optimize Rewrite.Violation; use_appquant = true; use_fd_fast_path = true }
 
 (** Same rewrites, but the direct validity test (for the polarity
     ablation). *)
-let direct_pipeline = { default_pipeline with polarity = Direct }
+let direct_pipeline = { default_pipeline with rewrite = Rewrite.optimize Rewrite.Direct }
 
 (** Ablation: skip every rewrite (build the BDD of the closed formula
     and test validity) and use unfused quantification. *)
 let naive_pipeline =
-  {
-    rewrite = Rewrite.no_rewrite;
-    use_appquant = false;
-    polarity = Direct;
-    use_fd_fast_path = false;
-  }
+  { rewrite = Rewrite.no_rewrite; use_appquant = false; use_fd_fast_path = false }
 
-(* Decide the outcome from the final BDD.  With leading quantifiers
-   eliminated, the matrix has free variables; the test is relative to
-   their domain guards (invalid bit patterns are out of scope). *)
-let read_answer ctx check root free =
-  let m = Compile.mgr ctx in
-  match check with
-  | Rewrite.Check_valid ->
-    let guard = Compile.free_guard ctx free in
-    if O.is_true (O.bimp m guard root) then Satisfied else Violated
-  | Rewrite.Check_satisfiable ->
-    let guard = Compile.free_guard ctx free in
-    if O.is_satisfiable (O.band m guard root) then Satisfied else Violated
-
-(* Compile-and-decide under the chosen polarity. *)
-let decide ctx pipeline check_mode rewritten free =
-  match (pipeline.polarity, check_mode) with
-  | Violation, Rewrite.Check_valid ->
-    (* C holds iff guard ∧ ¬matrix is unsatisfiable *)
-    let violation = Rewrite.nnf (Formula.Not rewritten) in
-    let root = T.with_span "compile" (fun () -> Compile.compile ctx violation) in
-    T.with_span "verdict" (fun () ->
-        let m = Compile.mgr ctx in
-        let guard = Compile.free_guard ctx free in
-        if O.is_false (O.band m guard root) then Satisfied else Violated)
-  | Violation, Rewrite.Check_satisfiable | Direct, _ ->
-    let root = T.with_span "compile" (fun () -> Compile.compile ctx rewritten) in
-    T.with_span "verdict" (fun () -> read_answer ctx check_mode root free)
+(* Compile the rewritten formula and decide the outcome from its BDD.
+   With leading quantifiers eliminated, the formula has free
+   variables; the test is relative to their domain guards (invalid bit
+   patterns are out of scope). *)
+let decide ctx check_mode compiled free =
+  let root = T.with_span "compile" (fun () -> Compile.compile ctx compiled) in
+  T.with_span "verdict" (fun () ->
+      let m = Compile.mgr ctx in
+      let guard = Compile.free_guard ctx free in
+      let holds =
+        match check_mode with
+        | Rewrite.Check_valid -> O.is_true (O.bimp m guard root)
+        | Rewrite.Check_satisfiable -> O.is_satisfiable (O.band m guard root)
+        | Rewrite.Check_unsatisfiable -> O.is_false (O.band m guard root)
+      in
+      if holds then Satisfied else Violated)
 
 (* SQL fallback; on Not_safe fall further back to the naive evaluator. *)
 let fallback db typing constraint_ =
@@ -241,7 +213,7 @@ let check ?(pipeline = default_pipeline) ?(strategy = Auto) index constraint_ =
   match
     Fun.protect
       ~finally:(fun () -> Compile.release ctx)
-      (fun () -> decide ctx pipeline check_mode rewritten free)
+      (fun () -> decide ctx check_mode rewritten free)
   with
   | outcome ->
     let elapsed_ms = (Fcv_util.Timer.now () -. t0) *. 1000. in
@@ -360,11 +332,15 @@ let check_soft ~pipeline ~strategy index (spec : Formula.spec) =
       let fd =
         if not pipeline.use_fd_fast_path then None
         else
-          match Fd_check.recognize_fd db c with
-          | Some (table_name, lhs, rhs) ->
+          match (Fd_check.recognize_fd db c, c) with
+          (* the projection counts are the binding counts only when the
+             ∀ binds nothing but the lhs and the two rhs variables: a
+             payload variable multiplies the bindings *)
+          | Some (table_name, lhs, rhs), Formula.Forall (xs, _)
+            when List.length xs = List.length lhs + 2 ->
             T.with_span "fd_fast_path" (fun () ->
                 Fd_check.fd_soft_counts index ~table_name ~lhs ~rhs:[ rhs ])
-          | None -> None
+          | _ -> None
       in
       match fd with Some counts -> Some counts | None -> Violations.soft_counts index c
     in

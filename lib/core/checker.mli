@@ -49,6 +49,10 @@ type result = {
           was chosen up-front ([Force_sql]), which pays neither the
           abandoned attempt nor a "fallback" *)
   rewritten : Formula.t;
+      (** the formula whose BDD was (to be) built — under the
+          violation polarity, the pushed-down negated matrix; the
+          constraint itself when the FD fast path or an up-front SQL
+          plan answered *)
   check : Rewrite.check;
   rate : rate option;
       (** measured violation rate; [Some] exactly on soft checks
@@ -56,16 +60,11 @@ type result = {
           check — the classical path is byte-for-byte unchanged *)
 }
 
-type polarity = Direct | Violation
-(** [Violation] (default) compiles nnf(¬matrix) and tests
-    unsatisfiability — negation sits on small sparse atom BDDs and ∧
-    short-circuits.  [Direct] compiles the matrix and tests
-    validity. *)
-
 type pipeline = {
   rewrite : Formula.t -> Rewrite.check * Formula.t;
+      (** the check mode and the formula to compile; the rewrite
+          chooses the polarity ({!Rewrite.polarity}) *)
   use_appquant : bool;
-  polarity : polarity;
   use_fd_fast_path : bool;
       (** route FD-shaped constraints to {!Fd_check.fd_holds} (the
           Fig. 5(b) projection-count method) instead of compiling the
@@ -73,7 +72,8 @@ type pipeline = {
 }
 
 val default_pipeline : pipeline
-(** Full §4.4 rewrites, fused quantifiers, violation polarity. *)
+(** Full §4.4 rewrites under the violation polarity
+    ([Rewrite.optimize Violation]), fused quantifiers. *)
 
 val direct_pipeline : pipeline
 (** Full rewrites, direct validity test (polarity ablation). *)

@@ -332,7 +332,11 @@ let mvd_holds index ~table_name ~lhs ~mid =
       ∀ x̄, r1, r2.  R(..., r1, ...) ∧ R(..., r2, ...) → r1 = r2
 
     where the two atoms agree position-wise (shared variables or
-    wildcards) except at exactly one position carrying r1 / r2.
+    wildcards) except at exactly one position carrying r1 / r2.  A
+    quantified variable that occurs once in the hypothesis and not in
+    the consequent is a payload column — [∀k. R(..k..) ∧ φ → ψ] is
+    [(∃k. R(..k..)) ∧ φ → ψ] — and counts as a wildcard, so the key
+    FD [R(s, d1, k1) ∧ R(s, d2, k2) → d1 = d2] is recognised too.
     Returns [(relation, lhs attribute names, rhs attribute name)] so
     the checker can route the constraint to the projection-count
     method instead of compiling the self-join. *)
@@ -348,13 +352,21 @@ let recognize_fd db formula =
       let schema = R.Table.schema table in
       if List.length ts1 <> R.Schema.arity schema then None
       else begin
+        let occurrences v =
+          List.length (List.filter (fun t -> t = Var v) (ts1 @ ts2))
+        in
+        let payload = function
+          | Var v -> v <> a && v <> b && List.mem v xs && occurrences v = 1
+          | _ -> false
+        in
+        let wild t = t = Wildcard || payload t in
         let ok = ref true in
         let lhs = ref [] in
         let rhs = ref None in
         List.iteri
           (fun i (t1, t2) ->
             match (t1, t2) with
-            | Wildcard, Wildcard -> ()
+            | _ when wild t1 && wild t2 -> ()
             | Var v1, Var v2 when v1 = v2 && v1 <> a && v1 <> b ->
               lhs := (v1, i) :: !lhs
             | Var v1, Var v2
@@ -365,9 +377,14 @@ let recognize_fd db formula =
         match (!ok, !rhs) with
         | true, Some rhs_pos ->
           let lhs_vars = List.map fst !lhs in
+          let payload_vars =
+            List.filter_map
+              (fun t -> match t with Var v when payload t -> Some v | _ -> None)
+              (ts1 @ ts2)
+          in
           (* every quantified variable must play a role, and every role
              variable must be quantified *)
-          let roles = a :: b :: lhs_vars in
+          let roles = a :: b :: (lhs_vars @ payload_vars) in
           if
             List.sort compare roles = List.sort compare xs
             && List.length (List.sort_uniq compare lhs_vars) = List.length lhs_vars

@@ -23,7 +23,12 @@ val recognize_fd :
   Fcv_relation.Database.t -> Formula.t -> (string * string list * string) option
 (** Recognise ∀x̄,r1,r2. R(…r1…) ∧ R(…r2…) → r1 = r2 as
     [(relation, lhs attributes, rhs attribute)] so the checker can
-    route it to {!fd_holds} instead of compiling the self-join. *)
+    route it to {!fd_holds} instead of compiling the self-join.  A
+    quantified variable occurring once in the hypothesis and not in
+    the consequent (a payload column, e.g. [k1]/[k2] in
+    [R(s,d1,k1) ∧ R(s,d2,k2) → d1 = d2]) is read as a wildcard: the
+    verdict is the same, though the binding count is not (see
+    {!Checker.check_spec}). *)
 
 val ind_holds :
   Index.t -> r:string -> attrs_r:string list -> s:string -> attrs_s:string list -> bool

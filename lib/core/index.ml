@@ -178,8 +178,10 @@ let minterm t entry sub =
 
 exception Needs_rebuild of string
 
-(* Apply one base-table update to a single entry. *)
-let update_entry t entry ~insert row =
+(* Apply one base-table update to a single entry, returning how to
+   undo it without allocating: until the next {!compact} the old root
+   is still in the store. *)
+let apply_entry t entry ~insert row =
   let sub = Array.map (fun a -> row.(a)) entry.attrs in
   Array.iteri
     (fun i c ->
@@ -192,19 +194,25 @@ let update_entry t entry ~insert row =
   match pack_key entry.blocks sub with
   | None -> raise (Needs_rebuild "projection too wide for incremental maintenance")
   | Some key ->
+    let root = entry.root in
     let current = Option.value ~default:0 (Hashtbl.find_opt entry.counts key) in
+    let set_count n =
+      if n = 0 then Hashtbl.remove entry.counts key else Hashtbl.replace entry.counts key n
+    in
     if insert then begin
       if current = 0 then entry.root <- O.bor t.mgr entry.root (minterm t entry sub);
-      Hashtbl.replace entry.counts key (current + 1)
+      set_count (current + 1)
     end
-    else begin
-      if current <= 0 then ()
-      else if current = 1 then begin
-        entry.root <- O.bdiff t.mgr entry.root (minterm t entry sub);
-        Hashtbl.remove entry.counts key
-      end
-      else Hashtbl.replace entry.counts key (current - 1)
+    else if current = 1 then begin
+      entry.root <- O.bdiff t.mgr entry.root (minterm t entry sub);
+      set_count 0
     end
+    else if current > 1 then set_count (current - 1);
+    fun () ->
+      entry.root <- root;
+      set_count current
+
+let update_entry t entry ~insert row = ignore (apply_entry t entry ~insert row : unit -> unit)
 
 (* The (table, attrs, strategy) recipe of an entry — what [add] needs
    to rebuild it from scratch. *)
@@ -219,9 +227,13 @@ let entry_spec entry =
     same strategy), replacing it in the store.  Used when an update
     falls outside the entry's frozen domain capacity: the new entry's
     blocks are wide enough for the grown dictionaries.  The old
-    blocks' levels are abandoned until the next level recycle (rebuilds
-    are O(log |dom|) per attribute since block widths double).  The
-    old entry is removed only once the replacement is built, so a
+    blocks' levels are abandoned until the next level recycle.  Block
+    widths are not doubled: the new blocks are sized to the current
+    dictionaries, and {!update_entry} compares a code against the
+    block's [dom_size] (not its [2^width] capacity), so every code
+    interned since the build — every never-seen key — costs a rebuild
+    of each entry over that attribute.  The old entry is removed only
+    once the replacement is built, so a
     {!Fcv_bdd.Manager.Node_limit} or {!Fcv_bdd.Manager.Level_limit}
     escaping mid-build leaves the store consistent. *)
 let rebuild_entry t entry =
@@ -246,18 +258,6 @@ let defer_rebuild t entry =
 
 let rebuild_or_defer t entry =
   try ignore (rebuild_entry t entry) with M.Level_limit _ -> defer_rebuild t entry
-
-(** Insert a full coded row into the base table and every index on
-    it.  An entry whose frozen domain capacity the row exceeds (new
-    dictionary codes) is transparently rebuilt in place instead of
-    {!Needs_rebuild} escaping to the caller. *)
-let insert t ~table_name row =
-  let table = R.Database.table t.db table_name in
-  R.Table.insert_coded table row;
-  List.iter
-    (fun e ->
-      try update_entry t e ~insert:true row with Needs_rebuild _ -> rebuild_or_defer t e)
-    (entries_for t table_name)
 
 (** Drop every entry indexed on [table_name] (their nodes become dead,
     reclaimed by the next {!compact}; their levels are abandoned until
@@ -288,17 +288,70 @@ let compact t =
     Fcv_util.Telemetry.incr (Fcv_util.Telemetry.counter "index.gc_runs");
   reclaimed
 
+exception Over_budget of string
+
+(* Apply one row update to every entry on [table_name], all or
+   nothing.  An entry whose capacity the row exceeds is rebuilt in
+   place.  A {!Fcv_bdd.Manager.Node_limit} — typically a manager still
+   full of the dead nodes of a check that tripped the budget — undoes
+   the entries already updated (their old roots are still in the
+   store), compacts once and retries; compacting here is legal because
+   updates run between checks, never mid-compile.  Returns [false],
+   with every entry as it was, when the retry trips too. *)
+let update_entries t ~table_name ~insert row =
+  let attempt () =
+    let entries = t.entries and deferred = t.deferred in
+    let undo = ref [] in
+    match
+      List.iter
+        (fun e ->
+          let u =
+            try apply_entry t e ~insert row
+            with Needs_rebuild _ ->
+              rebuild_or_defer t e;
+              fun () -> ()
+          in
+          undo := u :: !undo)
+        (entries_for t table_name)
+    with
+    | () -> true
+    | exception M.Node_limit _ ->
+      List.iter (fun u -> u ()) !undo;
+      t.entries <- entries;
+      t.deferred <- deferred;
+      false
+  in
+  attempt () || (ignore (compact t); attempt ())
+
+let over_budget t ~table_name what =
+  raise
+    (Over_budget
+       (Printf.sprintf "%s on %s does not fit the node budget (%d nodes) even after a \
+                        compaction; nothing was changed"
+          what table_name (M.max_nodes t.mgr)))
+
+(** Insert a full coded row into the base table and every index on
+    it.  An entry whose frozen domain capacity the row exceeds (new
+    dictionary codes) is transparently rebuilt in place instead of
+    {!Needs_rebuild} escaping to the caller. *)
+let insert t ~table_name row =
+  let table = R.Database.table t.db table_name in
+  R.Table.insert_coded table row;
+  if not (update_entries t ~table_name ~insert:true row) then begin
+    ignore (R.Table.delete_coded table row);
+    over_budget t ~table_name "insert"
+  end
+
 (** Delete one occurrence of a full coded row from the base table and
     every index on it; entries that cannot maintain the deletion
     incrementally are rebuilt in place (see {!insert}). *)
 let delete t ~table_name row =
   let table = R.Database.table t.db table_name in
   let removed = R.Table.delete_coded table row in
-  if removed then
-    List.iter
-      (fun e ->
-        try update_entry t e ~insert:false row with Needs_rebuild _ -> rebuild_or_defer t e)
-      (entries_for t table_name);
+  if removed && not (update_entries t ~table_name ~insert:false row) then begin
+    R.Table.insert_coded table row;
+    over_budget t ~table_name "delete"
+  end;
   removed
 
 (* -- memory accounting ----------------------------------------------------- *)

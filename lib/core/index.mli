@@ -89,20 +89,32 @@ val update_entry : t -> entry -> insert:bool -> int array -> unit
 val rebuild_entry : t -> entry -> entry
 (** Rebuild an entry from the current base table (same attributes and
     strategy), replacing it in the store — the recovery for
-    {!Needs_rebuild} after the base table / dictionaries changed. *)
+    {!Needs_rebuild} after the base table / dictionaries changed.  The
+    new blocks are sized to the current dictionaries (widths are not
+    doubled), so each later never-seen code triggers another
+    rebuild. *)
+
+exception Over_budget of string
+(** An insert or delete did not fit the node budget even after a
+    compaction; the base table and every index are as they were. *)
 
 val insert : t -> table_name:string -> int array -> unit
 (** Insert a full coded row into the base table and every index on
     it.  The row's codes must already be interned in the table's
     dictionaries; an entry whose capacity they exceed is transparently
-    rebuilt ({!rebuild_entry}) rather than raising. *)
+    rebuilt ({!rebuild_entry}) rather than raising.  The entries are
+    updated all or nothing: when the node budget trips (a manager
+    still full of a tripped check's dead nodes), the store is
+    compacted once and the update retried.
+    @raise Over_budget when the retry trips too. *)
 
 val delete : t -> table_name:string -> int array -> bool
 (** Delete one occurrence of a row from the base table and every
     index; returns whether a row existed.  Rebuilds entries that
     cannot maintain the deletion incrementally.  An entry that cannot
     be rebuilt for lack of level space is deferred (see {!t.deferred})
-    rather than raising. *)
+    rather than raising.  Budget trips are handled as in {!insert}.
+    @raise Over_budget when the retry trips too. *)
 
 val remove_entries_for : t -> string -> int
 (** Drop every entry (and deferred rebuild) indexed on a table,

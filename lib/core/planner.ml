@@ -313,8 +313,13 @@ let make_tree ?memo index f h ~choice ~est_bdd ~est_sql =
         ~detail:(Printf.sprintf "%s: %s -> %s" table (String.concat "," lhs) rhs)
         (0.5 *. est_bdd)
     | None ->
+      (* what the default (violation-polarity) pipeline hands the
+         compiler — the shape that makes a check cheap or expensive *)
+      let check, compiled = Rewrite.compiled Rewrite.Violation f in
       leaf ~chosen:bdd_chosen "rewrite+compile"
-        ~detail:(Printf.sprintf "atoms=%d" atoms)
+        ~detail:
+          (Printf.sprintf "atoms=%d; compiles (%s): %s" atoms (Rewrite.check_name check)
+             (Formula.to_string compiled))
         (0.8 *. est_bdd)
   in
   let bdd_branch =

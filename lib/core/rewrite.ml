@@ -7,9 +7,12 @@
       leading run of same-kind quantifiers — a leading ∀-run turns the
       check into a validity test of the remainder, a leading ∃-run
       into a satisfiability test, both O(1) on the final ROBDD;
-    + {b push-down} of the remaining universal quantifiers across
-      conjunctions (Rule 5): ∀x(φ₁ ∧ φ₂) ⇝ ∀xφ₁ ∧ ∀xφ₂, because
-      ∀xφᵢ is typically much smaller than φᵢ;
+    + {b push-down} of universal quantifiers across conjunctions
+      (Rule 5): ∀x(φ₁ ∧ φ₂) ⇝ ∀xφ₁ ∧ ∀xφ₂, because ∀xφᵢ is typically
+      much smaller than φᵢ.  It runs last, on the formula actually
+      compiled under the chosen polarity — for the violation polarity
+      that is nnf(¬matrix), whose ∀s are the matrix's ∃s
+      ({!violation});
     + existential quantifiers stay pulled up so {!Compile} can use the
       fused [appex] on ∃x(φ₁ ∨ φ₂) (Rule 6).
 
@@ -18,10 +21,19 @@
 
 open Formula
 
-(** How to read the final BDD of the rewritten matrix: a leading ∀-run
-    was dropped ⇒ the constraint holds iff the BDD is [true]; a
-    leading ∃-run ⇒ holds iff the BDD is not [false]. *)
-type check = Check_valid | Check_satisfiable
+(** How to read the final BDD of the compiled formula: a leading ∀-run
+    was dropped ⇒ the constraint holds iff the BDD is [true], or iff it
+    is [false] when the negated matrix was compiled; a leading ∃-run ⇒
+    holds iff the BDD is not [false]. *)
+type check = Check_valid | Check_satisfiable | Check_unsatisfiable
+
+let check_name = function
+  | Check_valid -> "valid"
+  | Check_satisfiable -> "satisfiable"
+  | Check_unsatisfiable -> "unsatisfiable"
+
+(** [Direct] compiles the matrix; [Violation] compiles nnf(¬matrix). *)
+type polarity = Direct | Violation
 
 type quantifier = Q_exists | Q_forall
 
@@ -159,9 +171,9 @@ let eliminate_leading (prefix, matrix) =
     let check = match q with Q_forall -> Check_valid | Q_exists -> Check_satisfiable in
     (check, requantify remaining matrix)
 
-(** Rule 5: distribute remaining universal quantifiers across
-    conjunctions, recursively; a quantifier not occurring free in a
-    conjunct is dropped for that conjunct (domains are non-empty). *)
+(** Rule 5: distribute universal quantifiers across conjunctions,
+    recursively; a quantifier not occurring free in a conjunct is
+    dropped for that conjunct (domains are non-empty). *)
 let rec push_forall = function
   | Forall (xs, body) -> (
     let body = push_forall body in
@@ -179,32 +191,52 @@ let rec push_forall = function
   | Implies (a, b) -> Implies (push_forall a, push_forall b)
   | Iff (a, b) -> Iff (push_forall a, push_forall b)
 
-(** The full §4.4 pipeline.  Returns the check mode and the optimised
-    formula whose BDD is to be tested for validity/satisfiability.
-    When telemetry is enabled, records which rules fired: the leading
-    quantifiers dropped (§4.1) and whether ∀ push-down (Rule 5)
-    changed the formula. *)
-let optimize f =
-  let module T = Fcv_util.Telemetry in
+(** nnf(¬matrix) with Rule 5 applied after the negation: the ∀s that
+    negation makes of the matrix's ∃s then sit on the one atom that
+    mentions their variables, not on a conjunction with the hypothesis
+    atoms (a cross product the fused single-variable [appall] cannot
+    avoid). *)
+let violation matrix = push_forall (nnf (Not matrix))
+
+(* The §4.4 pipeline without telemetry: the check mode, the formula to
+   compile, how many leading quantifiers §4.1 dropped, and whether
+   Rule 5 changed the compiled formula. *)
+let pipeline polarity f =
   let prefix, matrix = prenex f in
   let check, g = eliminate_leading (prefix, matrix) in
-  let g' = push_forall g in
+  let dropped = List.length prefix - List.length (fst (prenex_nnf g)) in
+  match (polarity, check) with
+  | Violation, Check_valid ->
+    let compiled = violation g in
+    (Check_unsatisfiable, compiled, dropped, compiled <> nnf (Not g))
+  | (Direct | Violation), _ ->
+    let compiled = push_forall g in
+    (check, compiled, dropped, compiled <> g)
+
+let compiled polarity f =
+  let check, g, _, _ = pipeline polarity f in
+  (check, g)
+
+(** The full §4.4 pipeline under [polarity]: the check mode and the
+    formula to compile.  When telemetry is enabled, records which
+    rules fired: the leading quantifiers dropped (§4.1) and whether ∀
+    push-down (Rule 5) changed the compiled formula. *)
+let optimize polarity f =
+  let module T = Fcv_util.Telemetry in
+  let check, g, dropped, pushed = pipeline polarity f in
   if T.enabled () then begin
     T.incr (T.counter "rewrite.prenex");
-    let dropped = List.length prefix - List.length (fst (prenex_nnf g)) in
     if dropped > 0 then
       T.incr ~by:dropped (T.counter "rewrite.leading_quantifiers_eliminated");
-    if g' <> g then T.incr (T.counter "rewrite.forall_pushdown");
+    if pushed then T.incr (T.counter "rewrite.forall_pushdown");
     T.event "rewrite"
       [
         ("leading_dropped", T.Int dropped);
-        ("forall_pushdown", T.Bool (g' <> g));
-        ( "check",
-          T.String (match check with Check_valid -> "valid" | Check_satisfiable -> "satisfiable")
-        );
+        ("forall_pushdown", T.Bool pushed);
+        ("check", T.String (check_name check));
       ]
   end;
-  (check, g')
+  (check, g)
 
 (** Drop-in identity pipeline for the ablation benchmarks: no
     rewrites beyond the rename-apart hygiene the compiler requires;

@@ -67,6 +67,7 @@ let apply t req : ((string * T.json) list, P.error_code * string) result =
       t.log req;
       Ok []
     | P.Unknown_value _ -> assert false (* intern never yields this *)
+    | exception Core.Index.Over_budget msg -> Error (P.Over_budget, msg)
     | exception P.Malformed msg -> Error (P.Bad_request, msg)
     | exception Invalid_argument msg -> Error (P.Unknown_table, msg))
   | P.Delete (table, row) -> (
@@ -76,6 +77,7 @@ let apply t req : ((string * T.json) list, P.error_code * string) result =
       t.log req;
       Ok [ ("removed", T.Bool removed) ]
     | P.Unknown_value _ -> assert false
+    | exception Core.Index.Over_budget msg -> Error (P.Over_budget, msg)
     | exception P.Malformed msg -> Error (P.Bad_request, msg)
     | exception Invalid_argument msg -> Error (P.Unknown_table, msg))
   | P.Repair _ | P.Explain _ | P.Validate | P.Stats | P.Compact | P.Snapshot | P.Ping

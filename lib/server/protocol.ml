@@ -82,6 +82,7 @@ type error_code =
   | Unknown_table
   | Constraint_error
   | Shutting_down
+  | Over_budget
   | Internal
 
 let error_code_name = function
@@ -91,6 +92,7 @@ let error_code_name = function
   | Unknown_table -> "unknown_table"
   | Constraint_error -> "constraint_error"
   | Shutting_down -> "shutting_down"
+  | Over_budget -> "over_budget"
   | Internal -> "internal"
 
 let parse_request line =

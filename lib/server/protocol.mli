@@ -59,6 +59,9 @@ type error_code =
   | Unknown_table
   | Constraint_error  (** register: parse/typing failure *)
   | Shutting_down
+  | Over_budget
+      (** insert/delete: did not fit the node budget even after a
+          compaction; nothing was changed *)
   | Internal
 
 val error_code_name : error_code -> string

@@ -192,7 +192,72 @@ let test_fd_recognizer () =
     = None);
   check "rhs var reused" true
     (recog "forall a, s1, s2 . cust(a, _, s1, s1, _) and cust(a, _, s1, s2, _) -> s1 = s2"
+    = None);
+  (* payload columns: a ∀-bound variable occurring once in the
+     hypothesis and not in the consequent is a wildcard ... *)
+  let shape = function
+    | Some (t, lhs, rhs) -> Printf.sprintf "%s: %s -> %s" t (String.concat "," lhs) rhs
+    | None -> "none"
+  in
+  let udb = university () in
+  Alcotest.(check string)
+    "payload columns are wildcards" "student: student_id -> department"
+    (shape
+       (Core.Fd_check.recognize_fd udb
+          (parse "forall s, d1, k1, d2, k2 . student(s, d1, k1) and student(s, d2, k2) -> d1 = d2")));
+  (* ... but one shared by both atoms is a key column, *)
+  Alcotest.(check string)
+    "repeated variable is a key column" "student: student_id,contact -> department"
+    (shape
+       (Core.Fd_check.recognize_fd udb
+          (parse "forall s, d1, d2, k . student(s, d1, k) and student(s, d2, k) -> d1 = d2")));
+  (* one repeated inside an atom equates two columns, *)
+  check "variable repeated in one atom" true
+    (recog "forall a, s1, s2, k . cust(a, _, k, s1, k) and cust(a, _, _, s2, _) -> s1 = s2"
+    = None);
+  (* and a consequent variable is never a payload *)
+  check "consequent variable is not a payload" true
+    (recog "forall a, s1, s2, k1, k2 . cust(a, _, _, s1, k1) and cust(a, _, _, k2, s2) -> s1 = s2"
     = None)
+
+(* The cross-product regression, by node count: the university base
+   of the daemon benchmark (3000 students, 100 courses, 8 departments,
+   30 violators, generator seed 1) with its four base constraints
+   indexed in registration order.  Compiling [takes(s,c) ∧ ∀d,k ¬student(s,d,k)] — ∀ pushed
+   down after negation — peaks near 75k nodes; the unpushed
+   [∀d,k (takes(s,c) ∧ ¬student(s,d,k))] materialises the
+   takes×student product and passes 220k.  Under a 90k budget the
+   reference must stay on the BDD path with no abandoned attempt. *)
+let test_reference_compiles_without_cross_product () =
+  let db, _, _, _ =
+    Fcv_datagen.University.generate (Fcv_util.Rng.create 1)
+      {
+        Fcv_datagen.University.default with
+        students = 3_000;
+        courses = 100;
+        departments = 8;
+        violators = 30;
+      }
+  in
+  let base =
+    List.map parse
+      [
+        "forall s, c . takes(s, c) -> (exists a . course(c, a))";
+        "forall s, c . takes(s, c) -> (exists d, k . student(s, d, k))";
+        "forall s, d1, k1, d2, k2 . student(s, d1, k1) and student(s, d2, k2) -> d1 = d2";
+        "forall c, a1, a2 . course(c, a1) and course(c, a2) -> a1 = a2";
+      ]
+  in
+  let index = Core.Index.create db in
+  (* one registration at a time, as the daemon builds them: the entry
+     order fixes the level layout *)
+  List.iter (fun c -> C.ensure_indices index [ c ]) base;
+  ignore (Core.Index.compact index);
+  Fcv_bdd.Manager.set_max_nodes (Core.Index.mgr index) 90_000;
+  let r = C.check ~strategy:C.Force_bdd index (List.nth base 1) in
+  Alcotest.(check string) "method" "BDD" (C.method_name r.C.method_used);
+  Alcotest.(check (float 0.)) "no abandoned attempt" 0. r.C.bdd_overhead_ms;
+  check "satisfied" true (outcome_bool r.C.outcome)
 
 let test_fd_fast_path_agrees_with_compiler () =
   List.iter
@@ -403,6 +468,8 @@ let suite =
     Alcotest.test_case "MVD check" `Quick test_mvd_check;
     Alcotest.test_case "FD recognizer" `Quick test_fd_recognizer;
     Alcotest.test_case "FD fast path = compiled" `Quick test_fd_fast_path_agrees_with_compiler;
+    Alcotest.test_case "reference compiles without a cross product" `Quick
+      test_reference_compiles_without_cross_product;
     Alcotest.test_case "fallback on tiny budget" `Quick test_fallback_on_tiny_budget;
     Alcotest.test_case "scratch levels recycled over repeated checks" `Quick test_many_repeated_checks_reuse_scratch_levels;
     Alcotest.test_case "open formulas rejected" `Quick test_open_formula_rejected;

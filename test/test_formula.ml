@@ -178,21 +178,32 @@ let prop_push_forall_preserves =
   preservation_test "forall push-down preserves semantics" (fun f -> RW.push_forall (RW.nnf f))
 
 let prop_optimize_consistent =
-  (* the optimised (mode, formula) pair judges exactly like the original:
-     Check_valid: naive(∀free. g); Check_satisfiable: naive(∃free. g) *)
+  (* the optimised (mode, formula) pair judges exactly like the
+     original, under both polarities: Check_valid: naive(∀free. g);
+     Check_satisfiable: naive(∃free. g); Check_unsatisfiable:
+     ¬naive(∃free. g) *)
   QCheck.Test.make ~count:150 ~name:"optimize pipeline preserves the verdict"
     Gen.formula_arbitrary (fun f ->
       let f = Gen.close f in
-      let mode, g = RW.optimize f in
-      let free = F.Sset.elements (F.free_vars g) in
-      let closed =
-        match mode with
-        | RW.Check_valid -> if free = [] then g else F.Forall (free, g)
-        | RW.Check_satisfiable -> if free = [] then g else F.Exists (free, g)
-      in
-      List.for_all2
-        (fun a b -> match (a, b) with Some x, Some y -> x = y | _ -> true)
-        (naive_on_all f) (naive_on_all closed))
+      List.for_all
+        (fun polarity ->
+          let mode, g = RW.optimize polarity f in
+          let free = F.Sset.elements (F.free_vars g) in
+          let closed =
+            match mode with
+            | RW.Check_valid -> if free = [] then g else F.Forall (free, g)
+            | RW.Check_satisfiable | RW.Check_unsatisfiable ->
+              if free = [] then g else F.Exists (free, g)
+          in
+          let judged =
+            List.map
+              (Option.map (fun b -> if mode = RW.Check_unsatisfiable then not b else b))
+              (naive_on_all closed)
+          in
+          List.for_all2
+            (fun a b -> match (a, b) with Some x, Some y -> x = y | _ -> true)
+            (naive_on_all f) judged)
+        [ RW.Direct; RW.Violation ])
 
 let suite =
   [

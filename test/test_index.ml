@@ -129,6 +129,70 @@ let test_entry_size_and_build_time () =
   check "positive size" true (I.entry_size idx e > 2);
   check "build time recorded" true (e.I.build_time >= 0.)
 
+(* A check that trips the node budget leaves the manager full of its
+   dead nodes.  Maintenance must still go through: the update compacts
+   once and retries, and the base table and the entry keep agreeing. *)
+let university_index ~max_nodes =
+  let db, _, _, takes =
+    Fcv_datagen.University.generate (Fcv_util.Rng.create 5)
+      { Fcv_datagen.University.default with students = 300; courses = 30 }
+  in
+  let reference =
+    Core.Fol_parser.of_string "forall s, c . takes(s, c) -> (exists d, k . student(s, d, k))"
+  in
+  let idx = I.create ~max_nodes db in
+  Core.Checker.ensure_indices idx [ reference ];
+  (idx, takes, reference)
+
+let test_delete_after_budget_trip () =
+  let idx, takes, reference = university_index ~max_nodes:0 in
+  let m = I.mgr idx in
+  Fcv_bdd.Manager.set_max_nodes m (Fcv_bdd.Manager.size m + 50);
+  let r = Core.Checker.check ~strategy:Core.Checker.Force_bdd idx reference in
+  check "the check tripped" true (r.Core.Checker.method_used <> Core.Checker.Bdd);
+  let e = List.hd (I.entries_for idx "takes") in
+  let rows = R.Table.to_list takes in
+  List.iteri
+    (fun i row ->
+      if i mod 7 = 0 then begin
+        check "delete succeeds" true (I.delete idx ~table_name:"takes" row);
+        check "entry agrees with the table" (R.Table.mem_coded takes row)
+          (I.entry_mem idx e row)
+      end)
+    rows;
+  List.iteri
+    (fun i row ->
+      if i mod 7 = 0 then begin
+        I.insert idx ~table_name:"takes" row;
+        check "re-inserted row indexed" true (I.entry_mem idx e row)
+      end)
+    rows;
+  R.Table.iter takes (fun row -> check "every row indexed" true (I.entry_mem idx e row))
+
+let test_update_over_budget_changes_nothing () =
+  let idx, takes, _ = university_index ~max_nodes:0 in
+  Fcv_bdd.Manager.set_max_nodes (I.mgr idx) 1;
+  let e = List.hd (I.entries_for idx "takes") in
+  let row = R.Table.row takes 0 in
+  let card = R.Table.cardinality takes in
+  (match I.delete idx ~table_name:"takes" row with
+  | _ -> Alcotest.fail "expected Over_budget"
+  | exception I.Over_budget _ -> ());
+  check_int "table unchanged" card (R.Table.cardinality takes);
+  check "row still in the table" true (R.Table.mem_coded takes row);
+  check "row still indexed" true (I.entry_mem idx e row);
+  let rec fresh c = if R.Table.mem_coded takes [| 0; c |] then fresh (c + 1) else [| 0; c |] in
+  let fresh = fresh 0 in
+  (match I.insert idx ~table_name:"takes" fresh with
+  | () -> Alcotest.fail "expected Over_budget"
+  | exception I.Over_budget _ -> ());
+  check_int "table unchanged after insert" card (R.Table.cardinality takes);
+  check "fresh row not indexed" false (I.entry_mem idx e fresh);
+  (* with room again, the same delete goes through *)
+  Fcv_bdd.Manager.set_max_nodes (I.mgr idx) 0;
+  check "delete succeeds" true (I.delete idx ~table_name:"takes" row);
+  check "entry agrees with the table" (R.Table.mem_coded takes row) (I.entry_mem idx e row)
+
 let suite =
   [
     Alcotest.test_case "add and find" `Quick test_add_and_find;
@@ -139,6 +203,9 @@ let suite =
     Alcotest.test_case "domain growth rebuilds in place" `Quick
       test_out_of_domain_growth_rebuilds;
     Alcotest.test_case "entry size / build time" `Quick test_entry_size_and_build_time;
+    Alcotest.test_case "delete after a budget trip" `Quick test_delete_after_budget_trip;
+    Alcotest.test_case "update over budget changes nothing" `Quick
+      test_update_over_budget_changes_nothing;
   ]
 
 let () = Registry.register "index" suite
