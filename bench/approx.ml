@@ -12,6 +12,9 @@
      timed on the default route (FD fast path) and with the fast
      path ablated (the generic violation-BDD route, recorded as
      [generic_ms]);
+   - batch: both soft specs of the noise level through the batch
+     runner ({!C.check_all_pooled}) inline ([-j 1]) and on a 2-worker
+     pool ([-j 2]), timed for the record;
    - recount: an independent row-scan ground truth — hash the distinct
      (sensor, location) projection pairs, then violations = Σ n(n−1)
      and bindings = Σ n² over the per-sensor group sizes n.  This is
@@ -23,6 +26,8 @@
 
    - the soft rate must equal the recount BIT FOR BIT — violation and
      binding counts as integers, the ratio as a float;
+   - the pooled soft batch ([-j 2]) must report the inline batch's
+     verdicts and rates bit for bit (its timing is informational);
    - verdicts must be consistent: soft outcome = the exact threshold
      comparison over the recounted integers, hard outcome = (any
      violation at all), clean data (noise 0) reports a zero rate;
@@ -98,13 +103,13 @@ let threshold = 0.999
 
 let run_cell ~noise ~table ~index (name, src) ~rhs_col =
   let spec = Core.Fol_parser.spec_of_string (Printf.sprintf "holds >= %g . %s" threshold src) in
-  let hard, hard_ms = best_ms (fun () -> C.check index spec.F.formula) in
-  let soft, soft_ms = best_ms (fun () -> C.check_spec index spec) in
+  let hard, hard_ms = best_ms (fun () -> C.check index (Core.Formula.hard spec.F.formula)) in
+  let soft, soft_ms = best_ms (fun () -> C.check index spec) in
   (* the same soft check with the FD fast path ablated: what the
      violation-BDD route costs, for the record *)
   let _, generic_ms =
     best_ms (fun () ->
-        C.check_spec
+        C.check
           ~pipeline:{ C.default_pipeline with C.use_fd_fast_path = false }
           index spec)
   in
@@ -156,7 +161,37 @@ let run_cell ~noise ~table ~index (name, src) ~rhs_col =
     soft_outcome = soft.C.outcome;
   }
 
-let run_noise_level noise =
+(* Both soft specs of one noise level through the batch runner, inline
+   and on the pool: verdicts and rates must match bit for bit (fatal);
+   the timing is for the record. *)
+type batch = { b_noise : float; j1_ms : float; j2_ms : float }
+
+let run_batch ~noise ~pool index =
+  let specs =
+    List.map
+      (fun (_, src) -> Core.Fol_parser.spec_of_string (Printf.sprintf "holds >= %g . %s" threshold src))
+      Noise.fd_constraints
+  in
+  let replica = Core.Replica.create index in
+  let run pool () =
+    List.map (function Ok r -> r | Error e -> raise e) (C.check_all_pooled ?pool index specs)
+  in
+  let j1, j1_ms = best_ms (run None) in
+  let j2, j2_ms = best_ms (run (Some (pool, replica))) in
+  let key r =
+    ( r.C.outcome,
+      Option.map
+        (fun rt ->
+          (N.to_string rt.C.violations, N.to_string rt.C.total, Int64.bits_of_float rt.C.ratio))
+        r.C.rate )
+  in
+  if List.map key j1 <> List.map key j2 then
+    fail "noise=%g: soft batch at -j 2 disagrees with -j 1" noise;
+  Printf.printf "  soft batch (%d specs)        noise=%-6g -j 1 %6.2f ms  -j 2 %6.2f ms\n%!"
+    (List.length specs) noise j1_ms j2_ms;
+  { b_noise = noise; j1_ms; j2_ms }
+
+let run_noise_level ~pool noise =
   let rng = Fcv_util.Rng.create 2007 in
   let cfg = { Noise.default with Noise.loc_noise = noise; unit_noise = noise } in
   let db, table = Noise.generate rng cfg in
@@ -165,9 +200,12 @@ let run_noise_level noise =
   in
   let index = Core.Index.create db in
   C.ensure_indices index specs;
-  List.map2
-    (fun fd rhs_col -> run_cell ~noise ~table ~index fd ~rhs_col)
-    Noise.fd_constraints [ 1; 2 ]
+  let cells =
+    List.map2
+      (fun fd rhs_col -> run_cell ~noise ~table ~index fd ~rhs_col)
+      Noise.fd_constraints [ 1; 2 ]
+  in
+  (cells, run_batch ~noise ~pool index)
 
 (* -- baseline gate --------------------------------------------------------- *)
 
@@ -228,7 +266,14 @@ let () =
   Printf.printf
     "approximate constraints — soft (p=%g) vs hard checks on the noise family (%d rows)\n%!"
     threshold Noise.default.Noise.rows;
-  let cells = List.concat_map run_noise_level [ 0.0; 0.001; 0.01; 0.05 ] in
+  let pool = Fcv_util.Pool.create ~name:"approx" ~jobs:2 () in
+  let levels =
+    Fun.protect
+      ~finally:(fun () -> Fcv_util.Pool.shutdown pool)
+      (fun () -> List.map (run_noise_level ~pool) [ 0.0; 0.001; 0.01; 0.05 ])
+  in
+  let cells = List.concat_map fst levels in
+  let batches = List.map snd levels in
   gate_against_baseline cells;
   let doc =
     T.Obj
@@ -239,6 +284,13 @@ let () =
         ("rows", T.Int Noise.default.Noise.rows);
         ("repeats", T.Int repeats);
         ("cells", T.List (List.map cell_json cells));
+        ( "soft_batches",
+          T.List
+            (List.map
+               (fun b ->
+                 T.Obj
+                   [ ("noise", T.Float b.b_noise); ("j1_ms", T.Float b.j1_ms); ("j2_ms", T.Float b.j2_ms) ])
+               batches) );
       ]
   in
   let oc = open_out out in

@@ -101,7 +101,11 @@ type point = {
 
 let count_violated results =
   List.length
-    (List.filter (fun r -> r.Core.Checker.outcome = Core.Checker.Violated) results)
+    (List.filter
+       (function
+         | Ok r -> r.Core.Checker.outcome = Core.Checker.Violated
+         | Error e -> raise e)
+       results)
 
 (* One net-zero mutation epoch: insert a duplicate of an existing row
    of the first indexed table, then delete it again.  Base tables and
@@ -127,13 +131,15 @@ let mutation_pair index replica =
 let run_workload name make =
   Printf.printf "\n== %s ==\n%!" name;
   let db, sources = make () in
-  let formulas = List.map Core.Fol_parser.of_string sources in
+  let specs = List.map Core.Fol_parser.spec_of_string sources in
   let index = Core.Index.create ~max_nodes:1_000_000 db in
-  Core.Checker.ensure_indices index formulas;
+  Core.Checker.ensure_indices index (List.map (fun s -> s.Core.Formula.formula) specs);
   (* sequential warm pass: prices every constraint for the scheduler
      and gives the verdict canary parallel runs must reproduce *)
-  let warm = List.map (Core.Checker.check index) formulas in
-  let costs = List.map (fun r -> Some r.Core.Checker.elapsed_ms) warm in
+  let warm = Core.Checker.check_all_pooled index specs in
+  let costs =
+    List.map (function Ok r -> Some r.Core.Checker.elapsed_ms | Error _ -> None) warm
+  in
   let baseline_violated = count_violated warm in
   let time_point jobs =
     if jobs = 1 then (
@@ -141,7 +147,7 @@ let run_workload name make =
         List.init repeats (fun _ ->
             mutation_pair index None;
             let t0 = Fcv_util.Timer.now () in
-            let results = List.map (Core.Checker.check index) formulas in
+            let results = Core.Checker.check_all_pooled index specs in
             ((Fcv_util.Timer.now () -. t0) *. 1000., count_violated results))
       in
       (List.map fst runs, List.map snd runs, None))
@@ -153,12 +159,14 @@ let run_workload name make =
         (fun () ->
           (* warm-up: spawn-cost-free steady state — every worker
              hydrated before the first timed pass *)
-          ignore (Core.Checker.check_all_pooled ~costs ~pool replica formulas);
+          ignore (Core.Checker.check_all_pooled ~costs ~pool:(pool, replica) index specs);
           let runs =
             List.init repeats (fun _ ->
                 mutation_pair index (Some replica);
                 let t0 = Fcv_util.Timer.now () in
-                let results = Core.Checker.check_all_pooled ~costs ~pool replica formulas in
+                let results =
+                  Core.Checker.check_all_pooled ~costs ~pool:(pool, replica) index specs
+                in
                 ((Fcv_util.Timer.now () -. t0) *. 1000., count_violated results))
           in
           (List.map fst runs, List.map snd runs, Some (Core.Replica.stats replica)))
@@ -196,8 +204,8 @@ let run_workload name make =
       series
   in
   Printf.printf "  violated %d/%d (identical at every j)\n%!" baseline_violated
-    (List.length formulas);
-  (name, List.length formulas, baseline_violated, points)
+    (List.length specs);
+  (name, List.length specs, baseline_violated, points)
 
 (* -- output ------------------------------------------------------------------ *)
 

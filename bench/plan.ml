@@ -4,10 +4,12 @@
 
    Runs the monitor's steady-state validation shape — net-zero
    mutation epoch, then a validate pass — over three workloads, twice
-   each: once under [Legacy] planning (the paper's blind
-   try-BDD-first thresholding) and once under [Planned] (the
-   cost-based planner choosing per-constraint strategies and learning
-   from every result).  Writes BENCH_plan.json.
+   each: once as legacy validation (the paper's blind try-BDD-first
+   thresholding: [Checker.check ~strategy:Auto] over every constraint
+   on the first pass, then over those mentioning the dirtied table)
+   and once through the monitor (the cost-based planner choosing
+   per-constraint strategies and learning from every result).  Writes
+   BENCH_plan.json.
 
    Workloads:
    - university (50) and retail (24): the same constraint suites as
@@ -111,16 +113,14 @@ type mode_run = {
   mean_ms : float;
   violated : int;
   trips : int;  (** manager budget trips over the whole run *)
-  pstats : Core.Planner.stats option;  (** [Planned] runs only *)
+  pstats : Core.Planner.stats option;  (** planner runs only *)
 }
 
-let count_violated reports =
-  List.length
-    (List.filter (fun r -> r.Core.Monitor.outcome = Core.Checker.Violated) reports)
+let is_violated (r : Core.Checker.result) = r.Core.Checker.outcome = Core.Checker.Violated
 
 (* One net-zero mutation epoch through the monitor (so dirtiness
    tracking sees it): duplicate an existing row of the first indexed
-   table, then delete the duplicate again. *)
+   table, then delete the duplicate again.  Returns the table. *)
 let mutation_pair monitor =
   let index = Core.Monitor.index monitor in
   let table =
@@ -131,14 +131,15 @@ let mutation_pair monitor =
   let table_name = R.Table.name table in
   let row = Array.copy (R.Table.row table 0) in
   Core.Monitor.insert monitor ~table_name row;
-  ignore (Core.Monitor.delete monitor ~table_name row)
+  ignore (Core.Monitor.delete monitor ~table_name row);
+  table_name
 
-let mode_name = function
-  | Core.Monitor.Planned -> "planner"
-  | Core.Monitor.Legacy -> "legacy"
-  | Core.Monitor.Forced s -> "forced-" ^ Core.Checker.strategy_name s
-
-let run_mode make planning =
+(* Build the workload's indices, plant the budget, and time
+   [warm_passes + timed_passes] passes of [validate] (given the
+   monitor and the table the pass's mutation pair dirtied, returning
+   the violated count).  [planner] registers the constraints with the
+   monitor; the legacy run keeps it for index upkeep only. *)
+let run_mode name make ~planner validate =
   let db, sources, headroom = make () in
   let formulas = List.map Core.Fol_parser.of_string sources in
   let index = Core.Index.create ~max_nodes:1_000_000 db in
@@ -148,16 +149,17 @@ let run_mode make planning =
   | Some h -> M.set_max_nodes mgr (M.size mgr + h)
   | None -> ());
   let trips0 = (M.stats mgr).M.budget_trips in
-  let monitor = Core.Monitor.create ~planning index in
-  List.iter (fun src -> ignore (Core.Monitor.add monitor src)) sources;
+  let monitor = Core.Monitor.create index in
+  if planner then List.iter (fun src -> ignore (Core.Monitor.add monitor src)) sources;
+  let validate = validate monitor formulas in
   let pass () =
     (* reclaim abandoned-attempt garbage outside the timer, so a
        tight-budget run never starves index maintenance of nodes *)
     ignore (Core.Monitor.gc monitor);
-    mutation_pair monitor;
+    let dirtied = mutation_pair monitor in
     let t0 = Fcv_util.Timer.now () in
-    let reports = Core.Monitor.validate monitor in
-    ((Fcv_util.Timer.now () -. t0) *. 1000., count_violated reports)
+    let violated = validate dirtied in
+    ((Fcv_util.Timer.now () -. t0) *. 1000., violated)
   in
   for _ = 1 to warm_passes do
     ignore (pass ())
@@ -168,8 +170,7 @@ let run_mode make planning =
     | [ v ] -> v
     | vs ->
       failwith
-        (Printf.sprintf "%s: violated count drifted across passes: {%s}"
-           (mode_name planning)
+        (Printf.sprintf "%s: violated count drifted across passes: {%s}" name
            (String.concat ", " (List.map string_of_int vs)))
   in
   let mean_ms =
@@ -180,10 +181,34 @@ let run_mode make planning =
     violated;
     trips = (M.stats mgr).M.budget_trips - trips0;
     pstats =
-      (match planning with
-      | Core.Monitor.Planned -> Some (Core.Planner.stats (Core.Monitor.planner monitor))
-      | _ -> None);
+      (if planner then Some (Core.Planner.stats (Core.Monitor.planner monitor)) else None);
   }
+
+(* The monitor's validate pass: planned strategies, cached verdicts,
+   entailment skips. *)
+let planned_validate monitor _ _ =
+  List.length
+    (List.filter (fun r -> r.Core.Monitor.outcome = Core.Checker.Violated)
+       (Core.Monitor.validate monitor))
+
+(* Legacy validation: what the monitor paid before it planned — the
+   automatic-reclamation check, then [Auto] over every constraint on
+   the first pass and over those mentioning the dirtied table after;
+   clean constraints keep their last verdict. *)
+let legacy_validate monitor formulas =
+  let index = Core.Monitor.index monitor in
+  let last = Array.make (List.length formulas) None in
+  fun dirtied ->
+    ignore (Core.Monitor.maybe_gc monitor);
+    List.iteri
+      (fun i f ->
+        if last.(i) = None || List.mem dirtied (Core.Formula.relations f) then
+          last.(i) <-
+            Some
+              (is_violated
+                 (Core.Checker.check ~strategy:Core.Checker.Auto index (Core.Formula.hard f))))
+      formulas;
+    Array.fold_left (fun n v -> if v = Some true then n + 1 else n) 0 last
 
 type workload_result = {
   name : string;
@@ -196,8 +221,8 @@ type workload_result = {
 
 let run_workload name make ~expect_trips =
   Printf.printf "\n== %s ==\n%!" name;
-  let legacy = run_mode make Core.Monitor.Legacy in
-  let planner = run_mode make Core.Monitor.Planned in
+  let legacy = run_mode "legacy" make ~planner:false legacy_validate in
+  let planner = run_mode "planner" make ~planner:true planned_validate in
   let ratio = if legacy.mean_ms > 0. then planner.mean_ms /. legacy.mean_ms else 1. in
   let failures =
     (if planner.violated <> legacy.violated then

@@ -62,7 +62,7 @@ let table1 () =
   let random = build (Core.Ordering.Random_order 3) in
   let check index ?pipeline c =
     let reset () = M.clear_caches (Core.Index.mgr index) in
-    time_ms ~reset (fun () -> ignore (Core.Checker.check ?pipeline index c))
+    time_ms ~reset (fun () -> ignore (Core.Checker.check ?pipeline index (Core.Formula.hard c)))
   in
   let mgr_opt = Core.Index.mgr optimized in
   row "%-16s %10s %14s %14s %16s %8s %12s\n" "query" "SQL" "BDD: random" "BDD: optimized"

@@ -155,8 +155,7 @@ let read_constraints path =
              l <> "" && not (String.length l >= 1 && l.[0] = '#'))
       |> List.map (fun l -> (l, Core.Fol_parser.spec_of_string l)))
 
-(* the bare formulas of a parsed constraints file (index building,
-   batch APIs that are hard-only by construction) *)
+(* the bare formulas of a parsed constraints file, for index building *)
 let formulas_of constraints =
   List.map (fun (_, sp) -> sp.Core.Formula.formula) constraints
 
@@ -168,33 +167,27 @@ let constraints_arg =
   in
   Arg.(required & opt (some file) None & info [ "c"; "constraints" ] ~docv:"FILE" ~doc)
 
+(* The batch runner's worker pool for [jobs > 1] (at most one worker
+   per item), or none; joined on the way out. *)
+let with_pool ~jobs ~items index f =
+  if jobs <= 1 || items <= 1 then f None
+  else begin
+    let pool = Fcv_util.Pool.create ~name:"check" ~jobs:(min jobs items) () in
+    Fun.protect
+      ~finally:(fun () -> Fcv_util.Pool.shutdown pool)
+      (fun () -> f (Some (pool, Core.Replica.create index)))
+  end
+
 (* Check every constraint against [index], printing one verdict line
    each (shared by [fcv check] and [fcv stats]); returns the number
    violated.  [jobs > 1] fans the checks out over worker domains
-   holding index replicas; per-constraint errors are captured in the
-   workers and reported in order, exactly like the sequential path.
+   holding index replicas; a constraint that fails to type or compile
+   gets an [ERROR] line while the others still get their verdicts.
    Witness enumeration always runs on the master index afterwards. *)
 let run_checks ?(witnesses = 0) ?(jobs = 1) index constraints =
-  let checked idx sp =
-    match Core.Checker.check_spec idx sp with
-    | r -> Ok r
-    | exception (Core.Typing.Type_error msg | Core.Compile.Unsupported msg) -> Error msg
-  in
   let results =
-    if jobs <= 1 || List.length constraints <= 1 then
-      List.map (fun (_, sp) -> checked index sp) constraints
-    else begin
-      let pool =
-        Fcv_util.Pool.create ~name:"check" ~jobs:(min jobs (List.length constraints)) ()
-      in
-      let replica = Core.Replica.create index in
-      Fun.protect
-        ~finally:(fun () -> Fcv_util.Pool.shutdown pool)
-        (fun () ->
-          Core.Replica.prepare replica;
-          Fcv_util.Pool.run_list pool
-            (List.map (fun (_, sp) () -> checked (Core.Replica.get replica) sp) constraints))
-    end
+    with_pool ~jobs ~items:(List.length constraints) index (fun pool ->
+        Core.Checker.check_all_pooled ?pool index (List.map snd constraints))
   in
   let violated = ref 0 in
   List.iter2
@@ -231,7 +224,9 @@ let run_checks ?(witnesses = 0) ?(jobs = 1) index constraints =
               ws
           | None -> print_endline "    (no finite witnesses)"
         end
-      | Error msg -> Printf.printf "[ERROR    ] %s: %s\n" src msg)
+      | Error (Core.Typing.Type_error msg | Core.Compile.Unsupported msg) ->
+        Printf.printf "[ERROR    ] %s: %s\n" src msg
+      | Error e -> raise e)
     constraints results;
   !violated
 
@@ -710,13 +705,14 @@ let explain_cmd =
           print_string (Core.Planner.render plan);
           (* soft constraints: the threshold the verdict is taken
              against, and the last measured rate next to it *)
-          if r.Core.Monitor.threshold < 1.0 then (
+          let threshold = r.Core.Monitor.spec.Core.Formula.threshold in
+          if threshold < 1.0 then (
             match r.Core.Monitor.last_rate with
             | Some rt ->
               Printf.printf
                 "  soft: threshold ≥ %g satisfied; measured rate %.6g (%s of %s \
                  bindings violated) -> %s\n"
-                r.Core.Monitor.threshold rt.Core.Checker.ratio
+                threshold rt.Core.Checker.ratio
                 (Fcv_bdd.Nat.to_string rt.Core.Checker.violations)
                 (Fcv_bdd.Nat.to_string rt.Core.Checker.total)
                 (if
@@ -727,7 +723,7 @@ let explain_cmd =
                  else "violated")
             | None ->
               Printf.printf "  soft: threshold ≥ %g satisfied; rate not yet measured\n"
-                r.Core.Monitor.threshold)
+                threshold)
         | None -> Printf.printf "constraint %d: no plan\n" reg.Core.Monitor.id)
       chosen
   in
@@ -995,19 +991,27 @@ let bench_cmd =
     let db, _ = load_dir data in
     let constraints = read_constraints constraints_file in
     let formulas = formulas_of constraints in
+    let specs = List.map snd constraints in
     let index = Core.Index.create ~max_nodes db in
     Core.Checker.ensure_indices ~strategy:(strategy_of_string strategy) index formulas;
-    let time () =
+    let time pool =
       let t0 = Fcv_util.Timer.now () in
-      let results = Core.Checker.check_all ~jobs index formulas in
+      let results = Core.Checker.check_all_pooled ?pool index specs in
       let ms = (Fcv_util.Timer.now () -. t0) *. 1000. in
       let violated =
         List.length
-          (List.filter (fun r -> r.Core.Checker.outcome = Core.Checker.Violated) results)
+          (List.filter
+             (function
+               | Ok r -> r.Core.Checker.outcome = Core.Checker.Violated
+               | Error e -> raise e)
+             results)
       in
       (ms, violated)
     in
-    let runs = List.init (max 1 repeat) (fun _ -> time ()) in
+    let runs =
+      with_pool ~jobs ~items:(List.length specs) index (fun pool ->
+          List.init (max 1 repeat) (fun _ -> time pool))
+    in
     let times = List.map fst runs in
     let violated = snd (List.hd runs) in
     let best = List.fold_left min infinity times in

@@ -57,7 +57,7 @@ let () =
   (* --- BDD route --------------------------------------------------------- *)
   let index = Core.Index.create db in
   Core.Checker.ensure_indices index [ c ];
-  let r = Core.Checker.check index c in
+  let r = Core.Checker.check index (Core.Formula.hard c) in
   Printf.printf "BDD logical indices:  %s  in %.2f ms (after one-time index build)\n"
     (match r.Core.Checker.outcome with Core.Checker.Satisfied -> "satisfied" | _ -> "VIOLATED")
     r.Core.Checker.elapsed_ms;

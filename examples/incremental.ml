@@ -65,7 +65,7 @@ let () =
     end;
     Fcv_util.Timer.stop timer;
     let per_update_us = Fcv_util.Timer.elapsed timer /. 1001. *. 1e6 in
-    let r = C.check index c in
+    let r = C.check index (Core.Formula.hard c) in
     Printf.printf
       "batch %d: ~%.1f us/update, %d rows, index %d nodes -> areacode->state %s (%.2f ms)\n"
       batch per_update_us (R.Table.cardinality cust)

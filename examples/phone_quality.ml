@@ -71,7 +71,7 @@ let () =
   List.iter2
     (fun (label, _) c ->
       let sql_outcome, sql_ms = C.check_sql db c in
-      let r = C.check index c in
+      let r = C.check index (Core.Formula.hard c) in
       Printf.printf "%-45s %9.2f %2s %9.2f %2s\n" label sql_ms
         (match sql_outcome with C.Satisfied -> "ok" | _ -> "!!")
         r.C.elapsed_ms
@@ -84,7 +84,7 @@ let () =
   print_newline ();
   List.iter2
     (fun (label, _) c ->
-      let r = C.check index c in
+      let r = C.check index (Core.Formula.hard c) in
       if r.C.outcome = C.Violated then begin
         Printf.printf "sample violations of %S:\n" label;
         match Core.Violations.enumerate ~limit:3 index c with

@@ -52,7 +52,7 @@ let () =
 
   (* 4. Check: the rewrite pipeline turns the check into an O(1) test
         on the final BDD. *)
-  let r = Core.Checker.check index constraint_ in
+  let r = Core.Checker.check index (Core.Formula.hard constraint_) in
   Printf.printf "\nverdict: %s  (method: %s, %.3f ms)\n"
     (match r.Core.Checker.outcome with
     | Core.Checker.Satisfied -> "SATISFIED"

@@ -28,7 +28,7 @@ let audit label data =
     (Core.Index.entries index);
   print_newline ();
   let t1 = Fcv_util.Timer.now () in
-  let results = List.map (fun (name, c) -> (name, c, C.check index c)) parsed in
+  let results = List.map (fun (name, c) -> (name, c, C.check index (Core.Formula.hard c))) parsed in
   Printf.printf "batch of %d constraints checked in %.0f ms\n" (List.length parsed)
     ((Fcv_util.Timer.now () -. t1) *. 1000.);
   List.iter

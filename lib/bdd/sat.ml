@@ -42,9 +42,9 @@ let counted_with (type a) (ops : a ops) m root ~fix ~levels : a =
     (fun (l, b) ->
       if l < 0 || l >= nvars then invalid_arg "Sat: fixed level out of range";
       match role.(l) with
-      | `Free -> invalid_arg "Sat.count_restrict: fixed level also in levels"
+      | `Free -> invalid_arg "Sat.count_restrict_exact: fixed level also in levels"
       | `Fixed b' when b' <> b ->
-        invalid_arg "Sat.count_restrict: conflicting values for a fixed level"
+        invalid_arg "Sat.count_restrict_exact: conflicting values for a fixed level"
       | `Fixed _ | `Out -> role.(l) <- `Fixed b)
     fix;
   (* frank.(l) = counted (free) levels strictly above level l *)
@@ -92,23 +92,56 @@ let count m root = counted_with float_ops m root ~fix:[] ~levels:(all_levels m)
     @raise Invalid_argument when [root]'s support escapes [levels]. *)
 let count_over m root ~levels = counted_with float_ops m root ~fix:[] ~levels
 
-(** [count_over] of [root] with the [fix]ed levels forced: the model
-    count, over [levels], of the restriction — computed in one walk
-    with no BDD allocation (the repair planner's blame counts call
-    this once per candidate tuple).
-    @raise Invalid_argument when support escapes [levels] + [fix],
-    when the two sets overlap, or on conflicting [fix] entries. *)
-let count_restrict m root ~fix ~levels = counted_with float_ops m root ~fix ~levels
-
 (** Exact counterparts, same walk with {!Nat} arithmetic.  A float
     count is only integer-exact below [2^53]; threshold verdicts
-    ("violation rate ≤ 1−p") compare these instead so a near-threshold
-    count can never round across the verdict boundary. *)
+    ("violation rate ≤ 1−p") and repair kill counts compare these
+    instead so a count can never round across a decision. *)
 let count_exact m root = counted_with nat_ops m root ~fix:[] ~levels:(all_levels m)
 
 let count_over_exact m root ~levels = counted_with nat_ops m root ~fix:[] ~levels
 
+(** {!count_over_exact} of [root] with the [fix]ed levels forced: the
+    model count, over [levels], of the restriction — computed in one
+    walk with no BDD allocation (the repair planner's kill counts call
+    this once per inclusion–exclusion term).
+    @raise Invalid_argument when support escapes [levels] + [fix],
+    when the two sets overlap, or on conflicting [fix] entries. *)
 let count_restrict_exact m root ~fix ~levels = counted_with nat_ops m root ~fix ~levels
+
+(* Merge fix lists; [None] on a conflicting level (an empty
+   intersection). *)
+let merge_fixes fixes =
+  let h = Hashtbl.create 16 in
+  let exception Conflict in
+  try
+    List.iter
+      (List.iter (fun (l, b) ->
+           match Hashtbl.find_opt h l with
+           | Some b' when b' <> b -> raise Conflict
+           | Some _ -> ()
+           | None -> Hashtbl.add h l b))
+      fixes;
+    Some (Hashtbl.fold (fun l b acc -> (l, b) :: acc) h [])
+  with Conflict -> None
+
+(** Models of [root], over [levels], lying in the union of the
+    [fixes] restrictions: inclusion–exclusion over
+    {!count_restrict_exact} walks.  The odd-size and even-size terms
+    are summed apart and subtracted once, all in {!Nat} — signed float
+    terms beyond [2^53] would cancel badly and lose units. *)
+let count_union_exact m root ~fixes ~levels =
+  let n = List.length fixes in
+  let plus = ref Nat.zero and minus = ref Nat.zero in
+  for mask = 1 to (1 lsl n) - 1 do
+    let subset = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) fixes in
+    match merge_fixes subset with
+    | None -> ()
+    | Some fix ->
+      let free = Array.of_list (List.filter (fun l -> not (List.mem_assoc l fix)) (Array.to_list levels)) in
+      let terms = if List.length subset mod 2 = 1 then plus else minus in
+      terms := Nat.add !terms (count_restrict_exact m root ~fix ~levels:free)
+  done;
+  Nat.sub !plus !minus
 
 (** One satisfying partial assignment as [(level, value)] pairs along a
     high-preferring path, or [None] if unsatisfiable.  Levels absent

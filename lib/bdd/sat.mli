@@ -13,23 +13,29 @@ val count_over : Manager.t -> int -> levels:int array -> float
     @raise Invalid_argument when the root's support escapes
     [levels]. *)
 
-val count_restrict :
-  Manager.t -> int -> fix:(int * bool) list -> levels:int array -> float
-(** {!count_over} of the restriction fixing each [(level, value)] of
-    [fix]: one walk, no BDD allocation — restrict-and-count.
-    @raise Invalid_argument when support escapes [levels] + [fix],
-    when the two overlap, or on conflicting [fix] entries. *)
-
 val count_exact : Manager.t -> int -> Nat.t
 val count_over_exact : Manager.t -> int -> levels:int array -> Nat.t
 
 val count_restrict_exact :
   Manager.t -> int -> fix:(int * bool) list -> levels:int array -> Nat.t
-(** Exact counterparts of {!count}/{!count_over}/{!count_restrict}:
-    the same walk carried out in arbitrary-precision {!Nat} arithmetic.
-    A float count is only integer-exact below [2^53]; use these when
-    the count feeds a comparison (threshold verdicts) rather than a
-    cost estimate. *)
+(** Exact counterparts of {!count}/{!count_over}, same walk in
+    arbitrary-precision {!Nat} arithmetic — a float count is only
+    integer-exact below [2^53]; use these when the count feeds a
+    comparison (threshold verdicts, repair kill counts) rather than a
+    cost estimate.  [count_restrict_exact] counts, over [levels], the
+    restriction fixing each [(level, value)] of [fix]: one walk, no
+    BDD allocation — restrict-and-count.
+    @raise Invalid_argument when support escapes [levels] + [fix],
+    when the two overlap, or on conflicting [fix] entries. *)
+
+val count_union_exact :
+  Manager.t -> int -> fixes:(int * bool) list list -> levels:int array -> Nat.t
+(** Models of [root] over [levels] that satisfy at least one of the
+    [fixes] (each a list of [(level, value)] pins): the union count by
+    inclusion–exclusion over {!count_restrict_exact} walks, summed
+    exactly (positive and negative terms apart, one subtraction) so no
+    term beyond [2^53] loses a unit.  The repair planner's kill
+    counts.  Exponential in [List.length fixes]. *)
 
 val any : Manager.t -> int -> (int * bool) list option
 (** One satisfying partial assignment (ascending levels; missing

@@ -2,7 +2,9 @@
     compilation to BDD operations over the logical indices → O(1)
     verdict off the final BDD — falling back to the SQL violation
     query (or, outside the safe fragment, the naive evaluator) when
-    the node budget trips. *)
+    the node budget trips.  Every constraint is a {!Formula.spec}: one
+    function ({!check}) checks it, one runner ({!check_all_pooled})
+    schedules a batch. *)
 
 type method_used = Bdd | Sql | Naive
 
@@ -12,11 +14,6 @@ type strategy =
   | Auto
       (** the paper's thresholding: try the BDD pipeline, fall back to
           SQL when the node budget trips *)
-  | Force_bdd
-      (** insist on the BDD pipeline; still budget-guarded — a trip
-          falls back rather than losing the verdict, so this is the
-          thresholding behaviour under another name, kept distinct for
-          planner probes and ablations *)
   | Force_sql
       (** straight to the SQL violation query (naive evaluator outside
           the safe fragment), paying no abandoned BDD attempt *)
@@ -56,8 +53,7 @@ type result = {
   check : Rewrite.check;
   rate : rate option;
       (** measured violation rate; [Some] exactly on soft checks
-          ({!check_spec} with threshold < 1), [None] on every hard
-          check — the classical path is byte-for-byte unchanged *)
+          (threshold < 1), [None] on every hard check *)
 }
 
 type pipeline = {
@@ -81,12 +77,22 @@ val direct_pipeline : pipeline
 val naive_pipeline : pipeline
 (** No rewrites, unfused quantifiers (rewrite ablation). *)
 
-val check : ?pipeline:pipeline -> ?strategy:strategy -> Index.t -> Formula.t -> result
-(** Check one closed constraint.  Every mentioned relation needs a
-    covering index ({!ensure_indices}).  [strategy] (default [Auto])
-    picks the engine: the planner ({!Planner}) passes [Force_sql] for
+val check : ?pipeline:pipeline -> ?strategy:strategy -> Index.t -> Formula.spec -> result
+(** Check one closed constraint spec; callers holding a bare formula
+    pass [Formula.hard f].  Every mentioned relation needs a covering
+    index ({!ensure_indices}).  [strategy] (default [Auto]) picks the
+    engine: the planner ({!Planner}) passes [Force_sql] for
     constraints it expects to trip the budget, skipping the abandoned
     BDD attempt entirely.  Verdicts are strategy-independent.
+
+    Hard specs ([threshold = 1.0]) decide the classical verdict: FD
+    fast path, compile, verdict, SQL/naive fallback; [rate = None].
+    Soft specs compute exact violation/support counts over the
+    violation BDD (FD projection counts on FD-shaped constraints) and
+    compare the satisfied fraction against the threshold in arbitrary
+    precision ({!clears}); [result.rate] carries the measurement.  A
+    soft spec planned to [Force_sql], or whose BDD attempt trips the
+    node budget, recounts with {!Naive_eval.soft_counts}.
     @raise Invalid_argument on open formulas.
     @raise Typing.Type_error on ill-typed constraints. *)
 
@@ -99,33 +105,6 @@ val clears :
     near-threshold count cannot round across the verdict boundary.  A
     zero [total] holds vacuously. *)
 
-val check_spec :
-  ?pipeline:pipeline -> ?strategy:strategy -> Index.t -> Formula.spec -> result
-(** Check one constraint spec.  Hard specs ([threshold = 1.0]) take
-    exactly the {!check} path — verdict, method choice and planner
-    behavior are unchanged — and report [rate = None].  Soft specs
-    compute exact violation/support counts over the violation BDD (FD
-    projection counts on FD-shaped constraints) and compare the
-    satisfied fraction against the threshold in arbitrary precision
-    ({!clears}); [result.rate] carries the measurement.  A soft spec
-    planned to [Force_sql], or whose BDD attempt trips the node
-    budget, recounts with {!Naive_eval.soft_counts}. *)
-
-val check_all :
-  ?pipeline:pipeline ->
-  ?jobs:int ->
-  ?strategies:strategy list ->
-  Index.t ->
-  Formula.t list ->
-  result list
-(** Check a batch, in order.  [jobs > 1] (default 1) fans out over a
-    transient pool of worker domains, each with a private replica of
-    [index] ({!Replica}); verdicts are identical to the sequential
-    run.  Singleton and empty batches always run sequentially.
-    [strategies] gives one {!strategy} per constraint (default all
-    [Auto]).
-    @raise Invalid_argument if [strategies] has the wrong length. *)
-
 type granularity = {
   batch_under_ms : float;
       (** constraints cheaper than this are chunked into one task *)
@@ -134,18 +113,13 @@ type granularity = {
       (** constraints dearer than this are split into conjunct tasks *)
   max_parts : int;  (** split only into at most this many parts *)
 }
-(** Task-granularity policy for {!check_all_pooled}: batching keeps
+(** Task-granularity policy for pooled {!check_all_pooled} batches: batching keeps
     task bookkeeping from dominating tiny checks; splitting keeps one
     monster conjunction from serialising a pass. *)
 
 val default_granularity : granularity
 (** 5ms batch threshold × 8-wide chunks; 250ms split threshold ×
     8 parts. *)
-
-val cost_estimate : Index.t -> Formula.t -> float
-(** Rough per-constraint check cost in milliseconds, from index node
-    counts and formula size.  Only the relative order matters; prefer
-    measured history when available. *)
 
 val split_conjuncts : Formula.t -> Formula.t list
 (** Independent conjunct parts of a constraint, by
@@ -155,34 +129,41 @@ val split_conjuncts : Formula.t -> Formula.t list
     splits. *)
 
 val check_all_pooled :
-  ?pipeline:pipeline ->
   ?granularity:granularity ->
   ?costs:float option list ->
   ?strategies:strategy list ->
-  pool:Fcv_util.Pool.t ->
-  Replica.t ->
-  Formula.t list ->
-  result list
-(** [check_all] against a caller-owned pool and replica set — the
-    long-running form (server, monitor) that amortises worker spawn
-    and replica hydration across batches.  Every mentioned relation
-    must already be indexed in the replica master.
+  ?pool:Fcv_util.Pool.t * Replica.t ->
+  Index.t ->
+  Formula.spec list ->
+  (result, exn) Stdlib.result list
+(** Check a batch of specs — the one batch runner.  Results come back
+    in input order; a spec whose check raised (ill-typed, unsupported)
+    carries its exception while the others still get their verdicts.
 
-    Tasks run expensive-first through the pool's claimed-batch
-    scheduler; per-constraint costs come from [costs] (measured
-    milliseconds, [None] entries estimated) or {!cost_estimate}, and
-    [granularity] (default {!default_granularity}) controls chunking
-    of tiny constraints and conjunct-splitting of huge ones.  A split
+    Without [pool] this is [List.map check] on the calling domain: no
+    replica refresh, no splitting, no chunking.  With [pool] — a
+    caller-owned worker pool and a replica set bound to [index], the
+    long-running form that amortises worker spawn and replica
+    hydration across batches — tasks run expensive-first through the
+    pool's claimed-batch scheduler.  Every mentioned relation must
+    then already be indexed in [index].  Per-spec costs come from
+    [costs] (measured or planned milliseconds, [None] entries
+    estimated from index node counts and formula size); [granularity] (default
+    {!default_granularity}) chunks tiny specs and splits huge hard
+    ones into conjunct tasks (a soft rate does not split).  A split
     constraint's merged result is [Satisfied] iff every part is, with
-    summed times; verdicts are identical to the sequential run either
-    way.  [strategies] gives one {!strategy} per constraint (default
-    all [Auto]); a split or chunked constraint keeps its strategy.
-    @raise Invalid_argument if [costs] or [strategies] is given with
-    the wrong length. *)
+    summed times.  Batches of fewer than two specs run inline even
+    with a pool.  [strategies] gives one {!strategy} per spec (default
+    all [Auto]); a split or chunked spec keeps its strategy.  Verdicts,
+    methods and rates are identical with and without a pool.
+    @raise Invalid_argument if [costs] or [strategies] has the wrong
+    length, or the replica set is bound to another index. *)
 
 val ensure_indices : ?strategy:Ordering.strategy -> Index.t -> Formula.t list -> unit
 (** Build missing full-attribute indices for every mentioned relation
-    (default strategy: Prob-Converge, the paper's recommendation). *)
+    (default strategy: Prob-Converge, the paper's recommendation),
+    constraint by constraint in list order — a list call lays out the
+    same levels as one call per constraint. *)
 
 val check_sql : Fcv_relation.Database.t -> Formula.t -> outcome * float
 (** The SQL-only baseline: translate to the violation query, run it,

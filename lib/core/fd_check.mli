@@ -28,7 +28,7 @@ val recognize_fd :
     the consequent (a payload column, e.g. [k1]/[k2] in
     [R(s,d1,k1) ∧ R(s,d2,k2) → d1 = d2]) is read as a wildcard: the
     verdict is the same, though the binding count is not (see
-    {!Checker.check_spec}). *)
+    {!Checker.check}). *)
 
 val ind_holds :
   Index.t -> r:string -> attrs_r:string list -> s:string -> attrs_s:string list -> bool

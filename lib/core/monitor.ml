@@ -13,11 +13,11 @@ module T = Fcv_util.Telemetry
 type registered = {
   id : int;
   source : string;  (** the constraint's concrete syntax, for reporting *)
-  formula : Formula.t;
-  threshold : float;
-      (** verdict threshold; [1.0] = hard (classical) constraint, a
-          value in (0, 1) makes the constraint soft: satisfied while
-          the satisfied fraction of bindings stays ≥ threshold *)
+  spec : Formula.spec;
+      (** the formula and its verdict threshold: [1.0] = hard
+          (classical) constraint, a value in (0, 1) makes the
+          constraint soft — satisfied while the satisfied fraction of
+          bindings stays ≥ threshold *)
   tables : string list;
   mutable last_outcome : Checker.outcome option;
   mutable last_rate : Checker.rate option;
@@ -32,18 +32,9 @@ type registered = {
           skipped whenever every entailer currently holds *)
 }
 
-(** How validation picks the check engine.  [Planned] (the default)
-    asks the {!Planner} per constraint and feeds results back;
-    [Legacy] is the paper's blind try-BDD-first thresholding (also the
-    bench baseline); [Forced s] pins one {!Checker.strategy} for every
-    constraint (ablations). *)
-type planning = Planned | Legacy | Forced of Checker.strategy
-
 type t = {
   index : Index.t;
-  pipeline : Checker.pipeline;
   planner : Planner.t;
-  mutable planning : planning;
   mutable constraints : registered list;
       (** stored {b newest first} so registration is O(1); every
           external view reverses (see {!constraints}) *)
@@ -56,13 +47,10 @@ type t = {
       (** [None] disables automatic reclamation; on by default *)
 }
 
-let create ?(pipeline = Checker.default_pipeline) ?(planning = Planned)
-    ?(gc = Some Lifecycle.default_policy) index =
+let create ?(gc = Some Lifecycle.default_policy) index =
   {
     index;
-    pipeline;
     planner = Planner.create ();
-    planning;
     constraints = [];
     next_id = 0;
     dirty = Hashtbl.create 8;
@@ -73,8 +61,6 @@ let create ?(pipeline = Checker.default_pipeline) ?(planning = Planned)
 let index t = t.index
 let constraints t = List.rev t.constraints
 let planner t = t.planner
-let planning t = t.planning
-let set_planning t p = t.planning <- p
 let set_gc_policy t p = t.gc_policy <- p
 let gc_policy t = t.gc_policy
 let jobs t = match t.par with Some (p, _) -> Fcv_util.Pool.size p | None -> 1
@@ -99,7 +85,8 @@ let stop t = set_jobs t 1
 let invalidate_replicas t =
   match t.par with Some (_, r) -> Replica.invalidate r | None -> ()
 
-let is_hard r = r.threshold >= 1.0
+let is_hard r = Formula.is_hard r.spec
+let formula r = r.spec.Formula.formula
 
 (* Re-derive every [entailed_by] flag from the current FD set — run
    after each register/unregister, never per pass: entailment is a
@@ -115,7 +102,7 @@ let recompute_entailment t =
       (fun r ->
         if not (is_hard r) then None
         else
-          match Planner.fd_of db r.formula with Some fd -> Some (r, fd) | None -> None)
+          match Planner.fd_of db (formula r) with Some fd -> Some (r, fd) | None -> None)
       regs
   in
   List.iter (fun r -> r.entailed_by <- None) regs;
@@ -175,8 +162,7 @@ let add ?id t source =
     {
       id;
       source;
-      formula;
-      threshold = spec.Formula.threshold;
+      spec;
       tables = Formula.relations formula;
       last_outcome = None;
       last_rate = None;
@@ -279,10 +265,11 @@ type report = {
 (** Validate the registered constraints: a constraint is re-checked
     only when it has never been checked or one of its tables changed
     since its last check; otherwise the cached verdict is returned.
-    Under [Planned] (the default) the {!Planner} chooses each stale
-    constraint's strategy, planned costs order the parallel pool, every
-    fresh result is fed back, and FDs entailed by currently-holding
-    FDs are settled without a check.  Clears the dirty set. *)
+    The {!Planner} chooses each stale constraint's strategy, planned
+    costs order the batch runner ({!Checker.check_all_pooled}, on the
+    worker pool when [jobs > 1]), every fresh result is fed back, and
+    FDs entailed by currently-holding FDs are settled without a
+    check.  Clears the dirty set. *)
 let validate t =
   (* reclamation happens here, strictly before any check compiles
      against the manager — never mid-check *)
@@ -292,12 +279,11 @@ let validate t =
   let needs_check reg =
     reg.last_outcome = None || List.exists (Hashtbl.mem t.dirty) reg.tables
   in
-  let planned = t.planning = Planned in
   (* registered-record bookkeeping happens on the calling domain only:
-     in the parallel path workers return bare Checker.results and the
+     in the pooled batch workers return bare Checker.results and the
      mutations below run once the whole batch is in *)
   let fresh_report reg r =
-    if planned then Planner.observe t.planner reg.formula r;
+    Planner.observe t.planner (formula reg) r;
     reg.last_outcome <- Some r.Checker.outcome;
     (match r.Checker.rate with Some _ as rt -> reg.last_rate <- rt | None -> ());
     reg.checks_run <- reg.checks_run + 1;
@@ -336,67 +322,23 @@ let validate t =
       rate = None;
     }
   in
-  let stale = List.filter needs_check regs in
-  (* soft constraints run sequentially through {!Checker.check_spec}:
-     they need the exact-count machinery (and their rates), not the
-     pooled batch checker, and they never participate in entailment *)
-  let stale_soft, stale_hard = List.partition (fun r -> not (is_hard r)) stale in
-  (* entailed FDs settle from their entailers' verdicts when possible
-     (Planned mode only); everything else is the main batch *)
+  (* entailed FDs (hard only) settle from their entailers' verdicts
+     when possible; everything else, hard or soft, is the main batch *)
   let stale_main, stale_ent =
-    if planned then List.partition (fun r -> r.entailed_by = None) stale_hard
-    else (stale_hard, [])
+    List.partition (fun r -> r.entailed_by = None) (List.filter needs_check regs)
   in
-  let plans =
-    if planned then
-      List.map (fun reg -> Some (Planner.plan t.planner t.index reg.formula)) stale_main
-    else List.map (fun _ -> None) stale_main
+  let plans = List.map (fun reg -> Planner.plan t.planner t.index (formula reg)) stale_main in
+  let results =
+    Checker.check_all_pooled ?pool:t.par
+      ~costs:(List.map (fun p -> Some p.Planner.cost_ms) plans)
+      ~strategies:(List.map (fun p -> p.Planner.strategy) plans)
+      t.index
+      (List.map (fun reg -> reg.spec) stale_main)
   in
-  let forced = match t.planning with Forced s -> s | _ -> Checker.Auto in
-  let strategies =
-    List.map (function Some p -> p.Planner.strategy | None -> forced) plans
-  in
-  let costs =
-    (* Planned: the planner's costed estimate orders the pool;
-       otherwise measured per-constraint history as before *)
-    List.map2
-      (fun reg p ->
-        match p with
-        | Some p -> Some p.Planner.cost_ms
-        | None ->
-          if reg.checks_run > 0 then
-            Some (reg.total_check_ms /. float_of_int reg.checks_run)
-          else None)
-      stale_main plans
-  in
-  let fresh = Hashtbl.create (List.length stale + 1) in
-  (match t.par with
-  | Some (pool, replica) when List.length stale_main > 1 ->
-    let results =
-      Checker.check_all_pooled ~pipeline:t.pipeline ~costs ~strategies ~pool replica
-        (List.map (fun reg -> reg.formula) stale_main)
-    in
-    List.iter2 (fun reg r -> Hashtbl.replace fresh reg.id r) stale_main results
-  | _ ->
-    List.iter2
-      (fun reg strategy ->
-        Hashtbl.replace fresh reg.id
-          (Checker.check ~pipeline:t.pipeline ~strategy t.index reg.formula))
-      stale_main strategies);
-  (* soft constraints: planner-advised strategy, exact rate verdict;
-     results feed the planner like any other fresh check *)
-  List.iter
-    (fun reg ->
-      let strategy =
-        match t.planning with
-        | Planned -> (Planner.plan t.planner t.index reg.formula).Planner.strategy
-        | Legacy -> Checker.Auto
-        | Forced s -> s
-      in
-      let spec = { Formula.threshold = reg.threshold; formula = reg.formula } in
-      Hashtbl.replace fresh reg.id
-        (Checker.check_spec ~pipeline:t.pipeline ~strategy t.index spec))
-    stale_soft;
+  let fresh = Hashtbl.create (List.length stale_main + List.length stale_ent + 1) in
+  List.iter2
+    (fun reg -> function Ok r -> Hashtbl.replace fresh reg.id r | Error e -> raise e)
+    stale_main results;
   (* outcomes valid for THIS pass: clean cached verdicts + fresh results *)
   let settled = Hashtbl.create (List.length regs + 1) in
   List.iter
@@ -415,8 +357,8 @@ let validate t =
      by checking the lowest id *)
   let skipped_ent = Hashtbl.create 8 in
   let check_now reg =
-    let strategy = (Planner.plan t.planner t.index reg.formula).Planner.strategy in
-    let r = Checker.check ~pipeline:t.pipeline ~strategy t.index reg.formula in
+    let strategy = (Planner.plan t.planner t.index (formula reg)).Planner.strategy in
+    let r = Checker.check ~strategy t.index reg.spec in
     Hashtbl.replace fresh reg.id r;
     Hashtbl.replace settled reg.id r.Checker.outcome
   in
@@ -482,4 +424,4 @@ let verdicts t =
     reflect what the next check will do. *)
 let explain t id =
   List.find_opt (fun r -> r.id = id) t.constraints
-  |> Option.map (fun reg -> (reg, Planner.plan t.planner t.index reg.formula))
+  |> Option.map (fun reg -> (reg, Planner.plan t.planner t.index (formula reg)))

@@ -6,11 +6,11 @@
 type registered = {
   id : int;
   source : string;
-  formula : Formula.t;
-  threshold : float;
-      (** verdict threshold; [1.0] = hard (classical), values in
-          (0, 1) make the constraint soft — satisfied while the
-          satisfied fraction of bindings stays ≥ threshold *)
+  spec : Formula.spec;
+      (** the formula and its verdict threshold: [1.0] = hard
+          (classical), values in (0, 1) make the constraint soft —
+          satisfied while the satisfied fraction of bindings stays ≥
+          threshold *)
   tables : string list;
   mutable last_outcome : Checker.outcome option;
   mutable last_rate : Checker.rate option;
@@ -26,30 +26,17 @@ type registered = {
           whenever every entailer currently holds *)
 }
 
-(** Validation strategy selection: [Planned] (default) consults the
-    {!Planner} per constraint and learns from every result; [Legacy]
-    is the paper's blind try-BDD-first thresholding; [Forced s] pins
-    one strategy for every constraint (ablations, benchmarks). *)
-type planning = Planned | Legacy | Forced of Checker.strategy
-
 type t
 
-val create :
-  ?pipeline:Checker.pipeline ->
-  ?planning:planning ->
-  ?gc:Lifecycle.policy option ->
-  Index.t ->
-  t
-(** [gc] is the automatic-reclamation policy run between validations
-    (default {!Lifecycle.default_policy}; [None] disables). *)
+val create : ?gc:Lifecycle.policy option -> Index.t -> t
+(** A monitor over [index]; validation always plans each check
+    ({!Planner}) and runs the paper's full pipeline.  [gc] is the
+    automatic-reclamation policy run between validations (default
+    {!Lifecycle.default_policy}; [None] disables). *)
 
 val index : t -> Index.t
 
 val planner : t -> Planner.t
-
-val planning : t -> planning
-
-val set_planning : t -> planning -> unit
 
 val gc_policy : t -> Lifecycle.policy option
 val set_gc_policy : t -> Lifecycle.policy option -> unit
@@ -116,13 +103,13 @@ type report = {
 
 val validate : t -> report list
 (** Check dirty constraints, reuse cached verdicts for clean ones,
-    clear the dirty set.  Under [Planned] the planner chooses each
-    strategy, planned costs order the parallel pool, results feed the
-    planner back, and a dirty hard FD entailed by currently-holding
+    clear the dirty set.  The planner chooses each strategy, and every
+    dirty constraint, hard or soft, goes through one
+    {!Checker.check_all_pooled} batch — on the worker pool,
+    expensive-first by planned cost, when [jobs > 1].  Results feed
+    the planner back.  A dirty hard FD entailed by currently-holding
     hard FDs is settled as satisfied without a check ([fresh =
-    false]).  Soft constraints are checked sequentially through
-    {!Checker.check_spec} — the exact-rate machinery — outside the
-    pooled batch, and never participate in entailment. *)
+    false]); soft constraints never participate in entailment. *)
 
 val violated : t -> registered list
 

@@ -507,12 +507,6 @@ let observe t f (r : Checker.result) =
     if choice <> c.cplan.choice then h.cached <- None
   | None -> ()
 
-let check_all ?pipeline ?jobs t index fs =
-  let strategies = List.map (fun f -> (plan t index f).strategy) fs in
-  let results = Checker.check_all ?pipeline ?jobs ~strategies index fs in
-  List.iter2 (fun f r -> observe t f r) fs results;
-  results
-
 (* -- rendering -------------------------------------------------------------- *)
 
 let render p =

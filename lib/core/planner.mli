@@ -105,13 +105,6 @@ type stats = { hits : int; misses : int; probes : int; replans : int }
 
 val stats : t -> stats
 
-val check_all :
-  ?pipeline:Checker.pipeline -> ?jobs:int -> t -> Index.t -> Formula.t list ->
-  Checker.result list
-(** Plan each constraint, run the batch through {!Checker.check_all}
-    with the planned strategies, and feed every result back — the
-    planned replacement for blind try-BDD-first batch checking. *)
-
 (** {1 Cost model}
 
     Exposed for the property tests.  Both estimates are monotone in

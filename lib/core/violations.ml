@@ -276,45 +276,11 @@ let atom_fix a table row terms =
             terms))
   with Inapplicable -> None
 
-(* Merge fix lists; [None] on a conflicting level (the atoms cannot
-   ground to the tuple simultaneously — an empty intersection). *)
-let merge_fixes fixes =
-  let h = Hashtbl.create 16 in
-  let exception Conflict in
-  try
-    List.iter
-      (List.iter (fun (l, b) ->
-           match Hashtbl.find_opt h l with
-           | Some b' when b' <> b -> raise Conflict
-           | Some _ -> ()
-           | None -> Hashtbl.add h l b))
-      fixes;
-    Some (Hashtbl.fold (fun l b acc -> (l, b) :: acc) h [])
-  with Conflict -> None
-
 (* Model count, over the witness space, of the union of the fix
-   lists: inclusion–exclusion over restrict-and-count walks
-   ({!Fcv_bdd.Sat.count_restrict}), no BDD allocation. *)
+   lists ({!Fcv_bdd.Sat.count_union_exact}): exact, no BDD
+   allocation. *)
 let union_count a fixes =
-  let m = Compile.mgr a.ctx in
-  let n = List.length fixes in
-  let total = ref 0. in
-  for mask = 1 to (1 lsl n) - 1 do
-    let subset = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) fixes in
-    match merge_fixes subset with
-    | None -> ()
-    | Some fix ->
-      let fixed = List.map fst fix in
-      let free =
-        Array.of_list
-          (List.filter (fun l -> not (List.mem l fixed)) (Array.to_list a.levels))
-      in
-      let sign =
-        if List.length subset mod 2 = 1 then 1. else -1.
-      in
-      total := !total +. (sign *. Sat.count_restrict m a.root ~fix ~levels:free)
-  done;
-  !total
+  Sat.count_union_exact (Compile.mgr a.ctx) a.root ~fixes ~levels:a.levels
 
 (** How many current witnesses deleting [(table, row)] would kill: the
     union over the matrix's positive [table]-atoms of "this atom
@@ -322,7 +288,7 @@ let union_count a fixes =
     row's projection onto an atom's constrained columns — the witness
     survives on the other support. *)
 let blame a ~table ~row =
-  union_count a
+  Fcv_bdd.Nat.to_float @@ union_count a
     (List.filter_map
        (fun (rel, terms) -> if rel = table then atom_fix a table row terms else None)
        (positive_atoms a.matrix))
@@ -333,7 +299,7 @@ type pattern = {
   p_table : string;
   p_pattern : int option array;
   p_rows : int array list;
-  p_kills : float;
+  p_kills : Fcv_bdd.Nat.t;
 }
 
 (* The level fixes binding one atom occurrence to one grounded

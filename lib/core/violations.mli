@@ -61,7 +61,8 @@ val blame : analyzer -> table:string -> row:int array -> float
 (** The number of current witnesses deleting [(table, row)] kills:
     inclusion–exclusion over the positive [table]-atoms, each term a
     restrict-and-count walk of the violation BDD
-    ({!Fcv_bdd.Sat.count_restrict}) — no BDD allocation.  An upper
+    ({!Fcv_bdd.Sat.count_restrict_exact}) — no BDD allocation — summed
+    exactly and rounded to float once.  An upper
     bound when other rows share the row's projection onto an atom's
     constrained columns (the witness survives on the other support). *)
 
@@ -70,9 +71,10 @@ type pattern = {
   p_pattern : int option array;
       (** per-column grounding: [Some code] pins, [None] is free *)
   p_rows : int array list;  (** current supporting rows, sorted *)
-  p_kills : float;
+  p_kills : Fcv_bdd.Nat.t;
       (** witnesses killed when {e every} [p_rows] row is deleted —
-          exact, unlike the per-row {!blame} upper bound *)
+          exact (arbitrary precision, so a count beyond 2^53 keeps its
+          last unit), unlike the per-row {!blame} upper bound *)
 }
 
 val patterns : ?limit:int -> analyzer -> pattern list

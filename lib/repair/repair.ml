@@ -82,13 +82,13 @@ let scratch ?(max_nodes = 0) db formulas =
 
 (* (violated constraints, total violation witnesses).  Spec-aware: a
    soft constraint counts as violated only while its rate is over
-   threshold ({!Core.Checker.check_spec}).  A violated bare
+   threshold ({!Core.Checker.check}).  A violated bare
    existential has no finite witness; it still counts one. *)
 let measure s specs =
   let violated = ref 0 and wit = ref 0. in
   List.iter
     (fun spec ->
-      let r = Core.Checker.check_spec s.index spec in
+      let r = Core.Checker.check s.index spec in
       if r.Core.Checker.outcome = Core.Checker.Violated then begin
         incr violated;
         match Core.Violations.count s.index spec.F.formula with
@@ -279,7 +279,7 @@ let exact s formulas =
    not deletions).  Terminates: every round removes at least one
    existing row.
 
-   Spec-aware: the violated re-filter uses {!Core.Checker.check_spec},
+   Spec-aware: the violated re-filter uses {!Core.Checker.check},
    so a soft constraint drops out of the loop — and stops costing
    deletions — as soon as its violation rate clears its threshold,
    rather than being driven all the way to zero witnesses. *)
@@ -291,7 +291,7 @@ let greedy ?(max_deletions = max_int) ~witness_limit s specs =
       List.filter_map
         (fun spec ->
           if
-            (Core.Checker.check_spec s.index spec).Core.Checker.outcome
+            (Core.Checker.check s.index spec).Core.Checker.outcome
             = Core.Checker.Violated
           then Some spec.F.formula
           else None)
@@ -314,11 +314,10 @@ let greedy ?(max_deletions = max_int) ~witness_limit s specs =
                       Array.to_list p.Core.Violations.p_pattern )
                   in
                   let kills =
-                    p.Core.Violations.p_kills
-                    +.
-                    match Hashtbl.find_opt moves key with
-                    | Some (_, k) -> k
-                    | None -> 0.
+                    Fcv_bdd.Nat.add p.Core.Violations.p_kills
+                      (match Hashtbl.find_opt moves key with
+                      | Some (_, k) -> k
+                      | None -> Fcv_bdd.Nat.zero)
                   in
                   Hashtbl.replace moves key (p.Core.Violations.p_rows, kills)
                 end)
@@ -326,7 +325,8 @@ let greedy ?(max_deletions = max_int) ~witness_limit s specs =
             Core.Violations.release a)
         violated;
       let better (k1, (r1, s1)) (k2, (r2, s2)) =
-        if s1 <> s2 then s1 > s2
+        let c = Fcv_bdd.Nat.compare s1 s2 in
+        if c <> 0 then c > 0
         else
           let n1 = List.length r1 and n2 = List.length r2 in
           if n1 <> n2 then n1 < n2 else k1 < k2
@@ -346,7 +346,7 @@ let greedy ?(max_deletions = max_int) ~witness_limit s specs =
         List.iter
           (fun row ->
             delete s ~table row;
-            deletions := (table, row, kills) :: !deletions)
+            deletions := (table, row, Fcv_bdd.Nat.to_float kills) :: !deletions)
           take;
         if List.length take < List.length rows then continue_ := false
     end

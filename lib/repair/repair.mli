@@ -97,7 +97,7 @@ val plan_specs :
   plan
 (** {!plan} over constraint specs: the greedy planner's violated
     re-filter (and the before/after measurements) go through
-    {!Core.Checker.check_spec}, so a soft constraint stops costing
+    {!Core.Checker.check}, so a soft constraint stops costing
     deletions as soon as its violation rate clears its threshold.
     The exact and brute planners ignore thresholds — their optimality
     arguments are about full (zero-violation) repairs — but still

@@ -312,11 +312,7 @@ and repair t ~strategy ~max_deletions ~do_apply =
   | Ok strategy -> (
     let specs =
       List.map
-        (fun r ->
-          {
-            Core.Formula.threshold = r.Core.Monitor.threshold;
-            formula = r.Core.Monitor.formula;
-          })
+        (fun r -> r.Core.Monitor.spec)
         (List.sort
            (fun a b -> compare a.Core.Monitor.id b.Core.Monitor.id)
            (Array.fold_left

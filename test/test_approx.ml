@@ -112,22 +112,29 @@ let test_spec_parsing () =
 
 (* -- p = 1.0 is exactly the classical checker --------------------------- *)
 
-let prop_hard_spec_is_check =
-  QCheck.Test.make ~count:100 ~name:"check_spec at p = 1.0 is check (rate = None)"
+(* A hard spec takes the classical path: no rate, and the verdict of
+   the SQL violation query (the naive evaluator outside its safe
+   fragment). *)
+let prop_hard_spec_is_classical =
+  QCheck.Test.make ~count:100
+    ~name:"a hard spec reports rate = None and the check_sql verdict"
     (QCheck.pair Gen.formula_arbitrary (QCheck.int_range 0 1_000))
     (fun (f, seed) ->
       let f = Gen.close f in
       let db = Gen.random_db seed in
       match Core.Typing.infer db f with
       | exception Core.Typing.Type_error _ -> true
-      | _ ->
+      | typing ->
         let index = Core.Index.create db in
         C.ensure_indices index [ f ];
-        let hard = C.check index f in
-        let spec = C.check_spec index (F.hard f) in
-        spec.C.outcome = hard.C.outcome
-        && spec.C.rate = None
-        && spec.C.method_used = hard.C.method_used)
+        let r = C.check index (F.hard f) in
+        let expected =
+          match C.check_sql db f with
+          | outcome, _ -> outcome
+          | exception Core.To_sql.Not_safe _ ->
+            if Core.Naive_eval.holds ~typing db f then C.Satisfied else C.Violated
+        in
+        r.C.rate = None && r.C.outcome = expected)
 
 (* -- soft differential: checker vs naive recount ------------------------ *)
 
@@ -172,8 +179,8 @@ let prop_soft_differential =
             && same_float rt.C.threshold threshold
             && N.compare rt.C.violations rt.C.total <= 0
         in
-        let bdd = C.check_spec index spec in
-        let sql = C.check_spec ~strategy:C.Force_sql index spec in
+        let bdd = C.check index spec in
+        let sql = C.check ~strategy:C.Force_sql index spec in
         (* the naive-recount path must reproduce the counts themselves *)
         let sql_counts_exact =
           match sql.C.rate with
@@ -187,7 +194,7 @@ let prop_soft_differential =
            recount must agree too *)
         let mgr = Core.Index.mgr index in
         Fcv_bdd.Manager.set_max_nodes mgr (Fcv_bdd.Manager.size mgr + 8);
-        agrees (C.check_spec index spec))
+        agrees (C.check index spec))
 
 (* -- acceptance: the noise family, bit-for-bit -------------------------- *)
 
@@ -233,24 +240,24 @@ let test_noise_fd_bit_for_bit () =
             (same_float rt.C.ratio (float_of_int nv /. float_of_int nt))
       in
       (* FD fast path (the default route for FD-shaped constraints) *)
-      let fast = C.check_spec index spec in
+      let fast = C.check index spec in
       check (name ^ ": fast path on BDD engine") true (fast.C.method_used = C.Bdd);
       assert_counts (name ^ " [fd-fast-path]") fast;
       (* generic violation-BDD route *)
       let generic =
-        C.check_spec
+        C.check
           ~pipeline:{ C.default_pipeline with C.use_fd_fast_path = false }
           index spec
       in
       assert_counts (name ^ " [violation-bdd]") generic;
       (* naive recount route *)
-      assert_counts (name ^ " [naive]") (C.check_spec ~strategy:C.Force_sql index spec);
+      assert_counts (name ^ " [naive]") (C.check ~strategy:C.Force_sql index spec);
       (* at p = 1.0 the same formula is hard: Violated, no rate *)
-      let hard = C.check_spec index (F.hard spec.F.formula) in
+      let hard = C.check index (F.hard spec.F.formula) in
       check (name ^ ": hard verdict is Violated") true (hard.C.outcome = C.Violated);
       check (name ^ ": hard check has no rate") true (hard.C.rate = None);
       (* a generous threshold flips the verdict without changing the rate *)
-      let loose = C.check_spec index { spec with F.threshold = 0.5 } in
+      let loose = C.check index { spec with F.threshold = 0.5 } in
       check (name ^ ": loose threshold satisfied") true (loose.C.outcome = C.Satisfied);
       assert_counts (name ^ " [loose]") loose)
     specs;
@@ -267,8 +274,8 @@ let test_monitor_soft_flow () =
   let _, hard_src = List.hd Fcv_datagen.Noise.fd_constraints in
   let soft = Core.Monitor.add mon soft_src in
   let hard = Core.Monitor.add mon hard_src in
-  check "registered threshold" true (same_float soft.Core.Monitor.threshold 0.5);
-  check "hard threshold" true (same_float hard.Core.Monitor.threshold 1.0);
+  check "registered threshold" true (same_float soft.Core.Monitor.spec.F.threshold 0.5);
+  check "hard threshold" true (same_float hard.Core.Monitor.spec.F.threshold 1.0);
   let reports = Core.Monitor.validate mon in
   let find reg =
     List.find
@@ -369,7 +376,7 @@ let suite =
     Alcotest.test_case "near-threshold precision regression" `Quick
       test_clears_near_threshold;
     Alcotest.test_case "holds-prefix parsing" `Quick test_spec_parsing;
-    Gen.qcheck_case prop_hard_spec_is_check;
+    Gen.qcheck_case prop_hard_spec_is_classical;
     Gen.qcheck_case prop_soft_differential;
     Alcotest.test_case "noise FD rate bit-for-bit vs naive" `Quick
       test_noise_fd_bit_for_bit;

@@ -32,7 +32,7 @@ let test_curriculum_satisfied () =
   let index = Core.Index.create db in
   let c = parse curriculum_constraint in
   C.ensure_indices index [ c ];
-  let r = C.check index c in
+  let r = C.check index (Core.Formula.hard c) in
   check "holds on clean data" true (outcome_bool r.C.outcome);
   check "used the BDD path" true (r.C.method_used = C.Bdd);
   check "agrees with naive" (Core.Naive_eval.holds db c) (outcome_bool r.C.outcome);
@@ -44,7 +44,7 @@ let test_curriculum_violated () =
   let index = Core.Index.create db in
   let c = parse curriculum_constraint in
   C.ensure_indices index [ c ];
-  let r = C.check index c in
+  let r = C.check index (Core.Formula.hard c) in
   check "violated" false (outcome_bool r.C.outcome);
   let sql_outcome, _ = C.check_sql db c in
   check "SQL agrees" false (outcome_bool sql_outcome);
@@ -91,7 +91,7 @@ let test_fd_on_clean_customers () =
   let index = Core.Index.create db in
   let c = parse fd_constraint in
   C.ensure_indices index [ c ];
-  let r = C.check index c in
+  let r = C.check index (Core.Formula.hard c) in
   check "fd holds on clean data" true (outcome_bool r.C.outcome);
   let table = Fcv_relation.Database.table db "cust" in
   check "Stats.fd_holds agrees" (Fcv_relation.Stats.fd_holds table ~lhs:[ 0 ] ~rhs:[ 3 ])
@@ -102,7 +102,7 @@ let test_fd_on_dirty_customers () =
   let index = Core.Index.create db in
   let c = parse fd_constraint in
   C.ensure_indices index [ c ];
-  let r = C.check index c in
+  let r = C.check index (Core.Formula.hard c) in
   let table = Fcv_relation.Database.table db "cust" in
   check "checker = Stats.fd_holds"
     (Fcv_relation.Stats.fd_holds table ~lhs:[ 0 ] ~rhs:[ 3 ])
@@ -120,7 +120,7 @@ let test_projection_index_suffices () =
     (Core.Index.add index ~table_name:"cust" ~attrs:[ "areacode"; "state" ]
        ~strategy:Core.Ordering.Prob_converge ());
   let c = parse fd_constraint in
-  let r = C.check index c in
+  let r = C.check index (Core.Formula.hard c) in
   let table = Fcv_relation.Database.table db "cust" in
   check "projection index answer"
     (Fcv_relation.Stats.fd_holds table ~lhs:[ 0 ] ~rhs:[ 3 ])
@@ -132,7 +132,7 @@ let test_membership_constraint () =
   (* every customer's state code is one of the 50 *)
   let c = parse "forall s . cust(_, _, _, s, _) -> s in {0, 1, 2}" in
   C.ensure_indices index [ c ];
-  let r = C.check index c in
+  let r = C.check index (Core.Formula.hard c) in
   check "agrees with naive" (Core.Naive_eval.holds db c) (outcome_bool r.C.outcome)
 
 let test_fd_check_projection_method () =
@@ -254,7 +254,7 @@ let test_reference_compiles_without_cross_product () =
   List.iter (fun c -> C.ensure_indices index [ c ]) base;
   ignore (Core.Index.compact index);
   Fcv_bdd.Manager.set_max_nodes (Core.Index.mgr index) 90_000;
-  let r = C.check ~strategy:C.Force_bdd index (List.nth base 1) in
+  let r = C.check ~strategy:C.Auto index (Core.Formula.hard (List.nth base 1)) in
   Alcotest.(check string) "method" "BDD" (C.method_name r.C.method_used);
   Alcotest.(check (float 0.)) "no abandoned attempt" 0. r.C.bdd_overhead_ms;
   check "satisfied" true (outcome_bool r.C.outcome)
@@ -266,11 +266,11 @@ let test_fd_fast_path_agrees_with_compiler () =
       let index = Core.Index.create db in
       let c = parse fd_constraint in
       C.ensure_indices index [ c ];
-      let fast = C.check index c in
+      let fast = C.check index (Core.Formula.hard c) in
       let slow =
         C.check
           ~pipeline:{ C.default_pipeline with C.use_fd_fast_path = false }
-          index c
+          index (Core.Formula.hard c)
       in
       check
         (Printf.sprintf "fast = compiled at rate %.2f" rate)
@@ -329,7 +329,7 @@ let test_fallback_on_tiny_budget () =
   let c = parse curriculum_constraint in
   C.ensure_indices index [ c ];
   Fcv_bdd.Manager.set_max_nodes (Core.Index.mgr index) (Fcv_bdd.Manager.size (Core.Index.mgr index) + 50);
-  let r = C.check index c in
+  let r = C.check index (Core.Formula.hard c) in
   check "fell back" true (r.C.method_used <> C.Bdd);
   check "fallback answer correct" false (outcome_bool r.C.outcome);
   check "overhead recorded" true (r.C.bdd_overhead_ms >= 0.)
@@ -338,7 +338,7 @@ let test_open_formula_rejected () =
   let db = university () in
   let index = Core.Index.create db in
   check "open formula" true
-    (match C.check index (parse "student(s, 0, _)") with
+    (match C.check index (Core.Formula.hard (parse "student(s, 0, _)")) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -351,9 +351,9 @@ let test_many_repeated_checks_reuse_scratch_levels () =
   let c = parse fd_constraint in
   C.ensure_indices index [ c ];
   let before = Fcv_bdd.Manager.nvars (Core.Index.mgr index) in
-  let first = C.check index c in
+  let first = C.check index (Core.Formula.hard c) in
   for _ = 1 to 400 do
-    let r = C.check index c in
+    let r = C.check index (Core.Formula.hard c) in
     if r.C.outcome <> first.C.outcome then Alcotest.fail "outcome drifted"
   done;
   let after = Fcv_bdd.Manager.nvars (Core.Index.mgr index) in
@@ -369,9 +369,9 @@ let test_naive_pipeline_agrees () =
   let index = Core.Index.create db in
   let c = parse curriculum_constraint in
   C.ensure_indices index [ c ];
-  let r1 = C.check index c in
-  let r2 = C.check ~pipeline:C.naive_pipeline index c in
-  let r3 = C.check ~pipeline:C.direct_pipeline index c in
+  let r1 = C.check index (Core.Formula.hard c) in
+  let r2 = C.check ~pipeline:C.naive_pipeline index (Core.Formula.hard c) in
+  let r3 = C.check ~pipeline:C.direct_pipeline index (Core.Formula.hard c) in
   check "violation and naive pipelines agree" (outcome_bool r1.C.outcome)
     (outcome_bool r2.C.outcome);
   check "violation and direct pipelines agree" (outcome_bool r1.C.outcome)
@@ -388,8 +388,8 @@ let prop_polarities_agree =
       | _ ->
         let index = Core.Index.create db in
         C.ensure_indices index [ f ];
-        let r1 = C.check ~pipeline:C.default_pipeline index f in
-        let r2 = C.check ~pipeline:C.direct_pipeline index f in
+        let r1 = C.check ~pipeline:C.default_pipeline index (Core.Formula.hard f) in
+        let r2 = C.check ~pipeline:C.direct_pipeline index (Core.Formula.hard f) in
         outcome_bool r1.C.outcome = outcome_bool r2.C.outcome)
 
 (* -- the central random property --------------------------------------------- *)
@@ -405,7 +405,7 @@ let prop_bdd_agrees_with_naive =
       | _ ->
         let index = Core.Index.create db in
         C.ensure_indices index [ f ];
-        let r = C.check index f in
+        let r = C.check index (Core.Formula.hard f) in
         outcome_bool r.C.outcome = Core.Naive_eval.holds db f)
 
 let prop_sql_agrees_with_naive =
@@ -432,8 +432,8 @@ let prop_ablation_pipeline_agrees =
       | _ ->
         let index = Core.Index.create db in
         C.ensure_indices index [ f ];
-        let r1 = C.check index f in
-        let r2 = C.check ~pipeline:C.naive_pipeline index f in
+        let r1 = C.check index (Core.Formula.hard f) in
+        let r2 = C.check ~pipeline:C.naive_pipeline index (Core.Formula.hard f) in
         outcome_bool r1.C.outcome = outcome_bool r2.C.outcome)
 
 let prop_violation_witnesses_exact =
@@ -453,6 +453,44 @@ let prop_violation_witnesses_exact =
         | Some ws ->
           let naive = Core.Naive_eval.violating_bindings db f in
           List.length ws = List.length naive))
+
+(* A list call to [ensure_indices] lays out the index exactly as one
+   call per constraint (the daemon's registration order) does: same
+   entry tables, same order, same node counts.  On the four base
+   university constraints a globally sorted build would index course,
+   student, takes — against course, takes, student one at a time — and
+   the later reference check would pay for the other level layout. *)
+let test_ensure_indices_list_order () =
+  let db, _, _, _ =
+    Fcv_datagen.University.generate (Fcv_util.Rng.create 1)
+      {
+        Fcv_datagen.University.default with
+        students = 3_000;
+        courses = 100;
+        departments = 8;
+        violators = 30;
+      }
+  in
+  let base =
+    List.map parse
+      [
+        "forall s, c . takes(s, c) -> (exists a . course(c, a))";
+        "forall s, c . takes(s, c) -> (exists d, k . student(s, d, k))";
+        "forall s, d1, k1, d2, k2 . student(s, d1, k1) and student(s, d2, k2) -> d1 = d2";
+        "forall c, a1, a2 . course(c, a1) and course(c, a2) -> a1 = a2";
+      ]
+  in
+  let layout index =
+    List.map
+      (fun e -> (Fcv_relation.Table.name e.Core.Index.table, Core.Index.entry_size index e))
+      (Core.Index.entries index)
+  in
+  let listed = Core.Index.create db in
+  C.ensure_indices listed base;
+  let one_by_one = Core.Index.create db in
+  List.iter (fun c -> C.ensure_indices one_by_one [ c ]) base;
+  Alcotest.(check (list (pair string int)))
+    "one list call = one call per constraint" (layout one_by_one) (layout listed)
 
 let suite =
   [
@@ -474,6 +512,8 @@ let suite =
     Alcotest.test_case "scratch levels recycled over repeated checks" `Quick test_many_repeated_checks_reuse_scratch_levels;
     Alcotest.test_case "open formulas rejected" `Quick test_open_formula_rejected;
     Alcotest.test_case "ablation pipeline agrees" `Quick test_naive_pipeline_agrees;
+    Alcotest.test_case "ensure_indices builds in constraint order" `Quick
+      test_ensure_indices_list_order;
     QCheck_alcotest.to_alcotest prop_polarities_agree;
     QCheck_alcotest.to_alcotest prop_bdd_agrees_with_naive;
     QCheck_alcotest.to_alcotest prop_sql_agrees_with_naive;

@@ -142,7 +142,7 @@ let test_retail_clean_and_dirty () =
   Core.Checker.ensure_indices index parsed;
   List.iteri
     (fun i c ->
-      let r = Core.Checker.check index c in
+      let r = Core.Checker.check index (Core.Formula.hard c) in
       check (Printf.sprintf "clean constraint %d" i) true
         (r.Core.Checker.outcome = Core.Checker.Satisfied))
     parsed;
@@ -153,7 +153,7 @@ let test_retail_clean_and_dirty () =
   in
   let index2 = Core.Index.create dirty.Fcv_datagen.Retail.db in
   Core.Checker.ensure_indices index2 parsed;
-  let outcomes = List.map (fun c -> (Core.Checker.check index2 c).Core.Checker.outcome) parsed in
+  let outcomes = List.map (fun c -> (Core.Checker.check index2 (Core.Formula.hard c)).Core.Checker.outcome) parsed in
   (* constraint 3 = destination agreement, 4 = channel policy (0-based) *)
   check "destination constraint broken" true (List.nth outcomes 3 = Core.Checker.Violated);
   check "channel constraint broken" true (List.nth outcomes 4 = Core.Checker.Violated);

@@ -35,7 +35,7 @@ let agree ?max_nodes (f, seed) =
         let mgr = Core.Index.mgr index in
         Fcv_bdd.Manager.set_max_nodes mgr (Fcv_bdd.Manager.size mgr + headroom))
       max_nodes;
-    let r = C.check index f in
+    let r = C.check index (Core.Formula.hard f) in
     let bdd_ok = outcome_bool r.C.outcome = expected in
     let sql_ok =
       match Core.To_sql.violated db typing f with
@@ -72,7 +72,7 @@ let prop_fallback_bookkeeping =
         C.ensure_indices index [ f ];
         let mgr = Core.Index.mgr index in
         Fcv_bdd.Manager.set_max_nodes mgr (Fcv_bdd.Manager.size mgr + 24);
-        let r = C.check index f in
+        let r = C.check index (Core.Formula.hard f) in
         (match r.C.method_used with
         | C.Bdd -> r.C.bdd_overhead_ms = 0.
         | C.Sql | C.Naive -> r.C.bdd_overhead_ms >= 0.))

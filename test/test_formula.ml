@@ -141,8 +141,8 @@ let test_shadowing_semantics () =
       let naive = Core.Naive_eval.holds db f in
       let index = Core.Index.create db in
       Core.Checker.ensure_indices index [ f ];
-      let r1 = Core.Checker.check index f in
-      let r2 = Core.Checker.check ~pipeline:Core.Checker.naive_pipeline index f in
+      let r1 = Core.Checker.check index (Core.Formula.hard f) in
+      let r2 = Core.Checker.check ~pipeline:Core.Checker.naive_pipeline index (Core.Formula.hard f) in
       check "bdd = naive under shadowing" naive (r1.Core.Checker.outcome = Core.Checker.Satisfied);
       check "ablation pipeline too" naive (r2.Core.Checker.outcome = Core.Checker.Satisfied))
     dbs

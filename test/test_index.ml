@@ -148,7 +148,7 @@ let test_delete_after_budget_trip () =
   let idx, takes, reference = university_index ~max_nodes:0 in
   let m = I.mgr idx in
   Fcv_bdd.Manager.set_max_nodes m (Fcv_bdd.Manager.size m + 50);
-  let r = Core.Checker.check ~strategy:Core.Checker.Force_bdd idx reference in
+  let r = Core.Checker.check ~strategy:Core.Checker.Auto idx (Core.Formula.hard reference) in
   check "the check tripped" true (r.Core.Checker.method_used <> Core.Checker.Bdd);
   let e = List.hd (I.entries_for idx "takes") in
   let rows = R.Table.to_list takes in

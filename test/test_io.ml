@@ -98,8 +98,8 @@ let test_index_roundtrip () =
     Core.Fol_parser.of_string
       "forall a, s1, s2 . cust(a, _, _, s1, _) and cust(a, _, _, s2, _) -> s1 = s2"
   in
-  let r = Core.Checker.check index2 c in
-  let r0 = Core.Checker.check index c in
+  let r = Core.Checker.check index2 (Core.Formula.hard c) in
+  let r0 = Core.Checker.check index (Core.Formula.hard c) in
   check "loaded store agrees with original" true (r.Core.Checker.outcome = r0.Core.Checker.outcome);
   Sys.remove path
 
@@ -193,7 +193,7 @@ let test_index_compact () =
     Core.Fol_parser.of_string
       "forall a, s1, s2 . cust(a, _, _, s1, _) and cust(a, _, _, s2, _) -> s1 = s2"
   in
-  ignore (Core.Checker.check index c)
+  ignore (Core.Checker.check index (Core.Formula.hard c))
 
 (* property: save/load/compact all preserve semantics of random BDDs *)
 let prop_io_compact_roundtrip =

@@ -37,7 +37,7 @@ let ablations =
   ]
 
 let holds_under pipeline index f =
-  (C.check ~pipeline index f).C.outcome = C.Satisfied
+  (C.check ~pipeline index (Core.Formula.hard f)).C.outcome = C.Satisfied
 
 let prop_ablations_preserve_verdicts =
   QCheck.Test.make ~count:150
@@ -56,13 +56,12 @@ let prop_ablations_preserve_verdicts =
           (fun (_, pipeline) -> holds_under pipeline index f = expected)
           (("default", C.default_pipeline) :: ablations))
 
-(* Strategy metamorphism: however the checker is steered — forced onto
-   the BDD pipeline, forced onto the SQL violation query, or left to
-   the legacy thresholding with a budget so tight every compile trips
-   and falls back — the verdict never changes.  This is the invariant
-   that makes the planner free to choose on cost alone. *)
-let strategies =
-  [ ("auto", C.Auto); ("force-bdd", C.Force_bdd); ("force-sql", C.Force_sql) ]
+(* Strategy metamorphism: however the checker is steered — the BDD
+   pipeline first, forced onto the SQL violation query, or the BDD
+   pipeline under a budget so tight every compile trips and falls
+   back — the verdict never changes.  This is the invariant that makes
+   the planner free to choose on cost alone. *)
+let strategies = [ ("auto", C.Auto); ("force-sql", C.Force_sql) ]
 
 let prop_strategies_preserve_verdicts =
   QCheck.Test.make ~count:120
@@ -79,14 +78,14 @@ let prop_strategies_preserve_verdicts =
         C.ensure_indices index [ f ];
         List.for_all
           (fun (_, strategy) ->
-            ((C.check ~strategy index f).C.outcome = C.Satisfied) = expected)
+            ((C.check ~strategy index (Core.Formula.hard f)).C.outcome = C.Satisfied) = expected)
           strategies
         &&
-        (* legacy thresholding under a budget left too tight to compile
+        (* thresholding under a budget left too tight to compile
            anything: the fallback must agree too *)
         let mgr = Core.Index.mgr index in
         Fcv_bdd.Manager.set_max_nodes mgr (Fcv_bdd.Manager.size mgr + 8);
-        ((C.check index f).C.outcome = C.Satisfied) = expected)
+        ((C.check index (Core.Formula.hard f)).C.outcome = C.Satisfied) = expected)
 
 (* Constraint shapes whose checks take different routes: a key FD with
    named payload columns (FD fast path), a key FD whose shared variable
@@ -143,7 +142,7 @@ let test_payload_shapes_route_parity () =
           agree "no-fd-fast-path"
             (holds_under { C.default_pipeline with C.use_fd_fast_path = false } index f);
           agree "naive-pipeline" (holds_under C.naive_pipeline index f);
-          agree "force-sql" ((C.check ~strategy:C.Force_sql index f).C.outcome = C.Satisfied);
+          agree "force-sql" ((C.check ~strategy:C.Force_sql index (Core.Formula.hard f)).C.outcome = C.Satisfied);
           agree "sql" (fst (C.check_sql db f) = C.Satisfied))
         payload_shapes)
     [ ("clean", `None); ("two departments", `Two_departments); ("dangling", `Dangling) ]

@@ -1,7 +1,7 @@
 (** Parallel validation: the domain pool ({!Fcv_util.Pool}), the
     per-worker index replicas ({!Core.Replica}), and the property that
-    parallel {!Core.Checker.check_all} verdicts are identical to the
-    sequential run — deterministic unit tests plus a QCheck
+    pooled {!Core.Checker.check_all_pooled} verdicts are identical to
+    the inline run — deterministic unit tests plus a QCheck
     differential over random constraint batches.
 
     Determinism: {!Gen.qcheck_case} pins the QCheck seed ([QCHECK_SEED]
@@ -135,26 +135,40 @@ let test_replica_checks_agree () =
   in
   let replica = Core.Replica.create index in
   Core.Replica.prepare replica;
-  let on_master = C.check index f and on_replica = C.check (Core.Replica.get replica) f in
+  let on_master = C.check index (Core.Formula.hard f) and on_replica = C.check (Core.Replica.get replica) (Core.Formula.hard f) in
   Alcotest.(check bool) "same outcome" true (on_master.C.outcome = on_replica.C.outcome);
   Alcotest.(check bool) "same method" true
     (on_master.C.method_used = on_replica.C.method_used)
 
-(* -- parallel check_all ----------------------------------------------------- *)
+(* -- the batch runner, inline and pooled ------------------------------------- *)
 
 let verdicts results =
   List.map (fun r -> (r.C.outcome, r.C.method_used)) results
 
-(* jobs=1 must not even touch the pool machinery: same code path as
-   the plain sequential map. *)
+(* The batch runner over hard specs of [fs]: inline without [jobs],
+   else on a fresh pool of [jobs] workers; a failed check re-raises. *)
+let run_batch ?jobs ?granularity ?costs index fs =
+  let run pool =
+    List.map
+      (function Ok r -> r | Error e -> raise e)
+      (C.check_all_pooled ?granularity ?costs ?pool index (List.map F.hard fs))
+  in
+  match jobs with
+  | None -> run None
+  | Some jobs ->
+    with_pool ~jobs @@ fun pool -> run (Some (pool, Core.Replica.create index))
+
+(* Without a pool the runner must not even touch the pool machinery:
+   same results as the plain sequential map. *)
 let test_jobs1_equivalence () =
   let index = small_index () in
   let fs =
     List.map Gen.close
       [ F.Exists ([ "x1_1" ], F.Atom ("t", [ F.Var "x1_1" ])); F.True; F.Not F.True ]
   in
-  Alcotest.(check bool) "jobs=1 = sequential" true
-    (verdicts (C.check_all index fs) = verdicts (C.check_all ~jobs:1 index fs))
+  Alcotest.(check bool) "inline runner = sequential map" true
+    (verdicts (List.map (fun f -> C.check index (F.hard f)) fs)
+    = verdicts (run_batch index fs))
 
 let test_check_all_parallel_matches_sequential () =
   let rng = Fcv_util.Rng.create 11 in
@@ -175,12 +189,12 @@ let test_check_all_parallel_matches_sequential () =
   let fs = List.map Core.Fol_parser.of_string sources in
   let index = Core.Index.create db in
   C.ensure_indices index fs;
-  let sequential = verdicts (C.check_all index fs) in
+  let sequential = verdicts (run_batch index fs) in
   Alcotest.(check bool) "jobs=4 matches" true
-    (sequential = verdicts (C.check_all ~jobs:4 index fs));
-  (* more workers than constraints: the pool is clamped, not starved *)
+    (sequential = verdicts (run_batch ~jobs:4 index fs));
+  (* more workers than constraints: idle workers are harmless *)
   Alcotest.(check bool) "jobs=16 matches" true
-    (sequential = verdicts (C.check_all ~jobs:16 index fs))
+    (sequential = verdicts (run_batch ~jobs:16 index fs))
 
 (* The monitor end of the wiring: parallel validation returns the same
    reports, replicas survive update + invalidate cycles, and stop()
@@ -210,6 +224,67 @@ let test_monitor_parallel_validate () =
   in
   Alcotest.(check bool) "sequential = parallel monitor" true (run 1 = run 3)
 
+(* Soft constraints ride the same pooled batch as hard ones: over a
+   mutating stream, a mixed monitor reports bit-identical verdicts,
+   exact rate counts and ratios at jobs 1, 2 and 3.  A final pass that
+   dirties only the soft constraints' table must refresh a worker
+   replica — the soft checks ran on the workers. *)
+let test_monitor_soft_parity () =
+  let run jobs =
+    let monitor = Core.Monitor.create (Core.Index.create (Gen.random_db 31)) in
+    Core.Monitor.set_jobs monitor jobs;
+    List.iter
+      (fun src -> ignore (Core.Monitor.add monitor src))
+      [
+        "holds >= 0.5 . forall a, b1, b2 . r(a, b1) and r(a, b2) -> b1 = b2";
+        "forall b . t(0) -> (exists c . s(b, c))";
+        "holds >= 0.75 . forall a, b . r(a, b) -> (exists c . s(b, c))";
+        "forall b, c1, c2 . s(b, c1) and s(b, c2) -> c1 = c2";
+      ];
+    let pass () =
+      List.map
+        (fun rep ->
+          ( rep.Core.Monitor.constraint_.Core.Monitor.id,
+            rep.Core.Monitor.outcome,
+            Option.map
+              (fun rt ->
+                ( Fcv_bdd.Nat.to_string rt.C.violations,
+                  Fcv_bdd.Nat.to_string rt.C.total,
+                  Int64.bits_of_float rt.C.ratio ))
+              rep.Core.Monitor.rate ))
+        (Core.Monitor.validate monitor)
+    in
+    let passes =
+      List.init 5 (fun i ->
+          Core.Monitor.insert monitor ~table_name:"r" [| i mod 3; (i + 1) mod 5 |];
+          if i mod 2 = 0 then ignore (Core.Monitor.delete monitor ~table_name:"s" [| i; 0 |]);
+          Core.Monitor.insert monitor ~table_name:"t" [| i mod 3 |];
+          pass ())
+    in
+    let refreshes () =
+      match Core.Monitor.replica_stats monitor with
+      | Some st -> st.Core.Replica.full + st.Core.Replica.delta
+      | None -> 0
+    in
+    let before = refreshes () in
+    Core.Monitor.insert monitor ~table_name:"r" [| 0; 0 |];
+    let soft_only = pass () in
+    let worker_ran = refreshes () > before in
+    Core.Monitor.stop monitor;
+    (passes @ [ soft_only ], worker_ran)
+  in
+  let sequential, _ = run 1 in
+  List.iter
+    (fun jobs ->
+      let pooled, worker_ran = run jobs in
+      Alcotest.(check bool) (Printf.sprintf "jobs=%d verdicts and rates" jobs) true
+        (pooled = sequential);
+      Alcotest.(check bool) (Printf.sprintf "jobs=%d soft checks ran on a worker" jobs) true
+        worker_ran)
+    [ 2; 3 ];
+  Alcotest.(check bool) "soft rates measured" true
+    (List.exists (List.exists (fun (_, _, rate) -> rate <> None)) sequential)
+
 let prop_parallel_differential =
   QCheck.Test.make ~count:100
     ~name:"parallel check_all verdicts = sequential (100 random batches)"
@@ -229,7 +304,7 @@ let prop_parallel_differential =
       let fs = List.filter_map well_typed [ f1; f2; f3; f1 ] in
       let index = Core.Index.create db in
       C.ensure_indices index fs;
-      verdicts (C.check_all index fs) = verdicts (C.check_all ~jobs:3 index fs))
+      verdicts (run_batch index fs) = verdicts (run_batch ~jobs:3 index fs))
 
 (* -- run_ordered: the claimed-batch scheduler ------------------------------- *)
 
@@ -361,9 +436,9 @@ let test_replica_delta_parity () =
       Alcotest.(check bool) "membership agrees" (Core.Index.entry_mem via_full ef row)
         (Core.Index.entry_mem via_delta ed row))
     (Core.Index.entries via_delta) (Core.Index.entries via_full);
-  let rd = C.check via_delta parity_formula
-  and rf = C.check via_full parity_formula
-  and rm = C.check index parity_formula in
+  let rd = C.check via_delta (Core.Formula.hard parity_formula)
+  and rf = C.check via_full (Core.Formula.hard parity_formula)
+  and rm = C.check index (Core.Formula.hard parity_formula) in
   Alcotest.(check bool) "verdict: delta = full" true (rd.C.outcome = rf.C.outcome);
   Alcotest.(check bool) "verdict: delta = master" true (rd.C.outcome = rm.C.outcome)
 
@@ -394,8 +469,8 @@ let test_replica_survives_compact () =
   Alcotest.(check int) "delta catch-up after compact" 1 st.Core.Replica.delta;
   Alcotest.(check int) "still one full hydration" 1 st.Core.Replica.full;
   Alcotest.(check bool) "verdicts agree" true
-    ((C.check (Core.Replica.get replica) parity_formula).C.outcome
-    = (C.check index parity_formula).C.outcome)
+    ((C.check (Core.Replica.get replica) (Core.Formula.hard parity_formula)).C.outcome
+    = (C.check index (Core.Formula.hard parity_formula)).C.outcome)
 
 (* A structural change (entry rebuild) bumps structure_version, which
    poisons the op journal: the next note degrades to an invalidation
@@ -423,8 +498,8 @@ let test_replica_structural_fallback () =
   Alcotest.(check int) "no delta replay across a structural change" 0
     st.Core.Replica.delta;
   Alcotest.(check bool) "verdicts agree after fallback" true
-    ((C.check (Core.Replica.get replica) parity_formula).C.outcome
-    = (C.check index parity_formula).C.outcome)
+    ((C.check (Core.Replica.get replica) (Core.Formula.hard parity_formula)).C.outcome
+    = (C.check index (Core.Formula.hard parity_formula)).C.outcome)
 
 (* The monitor end of the delta wiring: streamed updates delta-note
    instead of invalidating, so the second parallel validation catches
@@ -530,11 +605,8 @@ let prop_batching_differential =
       let fs = well_typed_batch db [ f1; f2; f3; f1; f2 ] in
       let index = Core.Index.create db in
       C.ensure_indices index fs;
-      let sequential = verdicts (C.check_all index fs) in
-      with_pool ~jobs:3 @@ fun pool ->
-      let replica = Core.Replica.create index in
-      sequential
-      = verdicts (C.check_all_pooled ~granularity:batches_granularity ~pool replica fs))
+      verdicts (run_batch index fs)
+      = verdicts (run_batch ~jobs:3 ~granularity:batches_granularity index fs))
 
 (* Splitting a conjunction into part tasks preserves the OUTCOME (the
    method may legitimately differ per part — merged as the weakest,
@@ -555,24 +627,19 @@ let prop_splitting_differential =
       let index = Core.Index.create db in
       C.ensure_indices index fs;
       let outcomes rs = List.map (fun r -> r.C.outcome) rs in
-      let sequential = outcomes (C.check_all index fs) in
-      with_pool ~jobs:3 @@ fun pool ->
-      let replica = Core.Replica.create index in
-      sequential
-      = outcomes (C.check_all_pooled ~granularity:splits_granularity ~pool replica fs))
+      outcomes (run_batch index fs)
+      = outcomes (run_batch ~jobs:3 ~granularity:splits_granularity index fs))
 
 (* Measured costs are a scheduling hint only: wildly wrong ones must
    not change anything. *)
 let test_costs_are_only_a_hint () =
   let index = small_index () in
   let fs = [ parity_formula; Gen.close F.True; parity_formula ] in
-  let sequential = verdicts (List.map (C.check index) fs) in
-  with_pool ~jobs:2 @@ fun pool ->
-  let replica = Core.Replica.create index in
+  let sequential = verdicts (run_batch index fs) in
   let costs = [ Some 1e6; None; Some 0.0001 ] in
   Alcotest.(check bool) "verdicts independent of cost estimates" true
-    (sequential = verdicts (C.check_all_pooled ~costs ~pool replica fs));
-  match C.check_all_pooled ~costs:[ Some 1. ] ~pool replica fs with
+    (sequential = verdicts (run_batch ~jobs:2 ~costs index fs));
+  match run_batch ~jobs:2 ~costs:[ Some 1. ] index fs with
   | _ -> Alcotest.fail "mismatched costs length should be refused"
   | exception Invalid_argument _ -> ()
 
@@ -598,6 +665,8 @@ let () =
         test_check_all_parallel_matches_sequential;
       Alcotest.test_case "monitor: parallel validate matches sequential" `Quick
         test_monitor_parallel_validate;
+      Alcotest.test_case "monitor: soft verdicts and rates equal at every jobs" `Quick
+        test_monitor_soft_parity;
       Gen.qcheck_case prop_parallel_differential;
     ];
   Registry.register "parallel_delta"

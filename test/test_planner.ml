@@ -237,14 +237,19 @@ let fd_sources =
 
 let fresh_checks reports = List.length (List.filter (fun r -> r.M.fresh) reports)
 
+(* What unplanned validation computes: every registered constraint
+   checked on its own with [Auto], as [(id, outcome)] sorted by id. *)
+let auto_verdicts monitor =
+  List.sort compare
+    (List.map
+       (fun r ->
+         (r.M.id, (C.check ~strategy:C.Auto (M.index monitor) r.M.spec).C.outcome))
+       (M.constraints monitor))
+
 let test_monitor_entailment_skip () =
-  let run planning =
-    let monitor = M.create ~planning (Core.Index.create (fd_db ())) in
-    let regs = List.map (M.add monitor) fd_sources in
-    (monitor, regs, M.validate monitor)
-  in
-  let planned, regs, reports = run M.Planned in
-  let legacy, _, legacy_reports = run M.Legacy in
+  let planned = M.create (Core.Index.create (fd_db ())) in
+  let regs = List.map (M.add planned) fd_sources in
+  let reports = M.validate planned in
   (match regs with
   | [ ab; bc; ac ] ->
     check "a->c is entailed by {a->b, b->c} at register time" true
@@ -252,12 +257,11 @@ let test_monitor_entailment_skip () =
     check "entailers are not marked entailed" true
       (ab.M.entailed_by = None && bc.M.entailed_by = None)
   | _ -> Alcotest.fail "expected three registrations");
-  check "all satisfied under Planned" true
+  check "all satisfied" true
     (List.for_all (fun r -> r.M.outcome = C.Satisfied) reports);
-  check "verdicts match Legacy" true
-    (M.verdicts planned = M.verdicts legacy);
+  check "verdicts match per-constraint Auto checks" true
+    (M.verdicts planned = auto_verdicts planned);
   check_int "the entailed FD was settled, not checked" 2 (fresh_checks reports);
-  check_int "Legacy checks all three" 3 (fresh_checks legacy_reports);
   (* soundness: once an entailer breaks, the entailed FD is really
      checked again — and found violated *)
   M.insert planned ~table_name:"u" [| 0; 1; 1 |];
@@ -289,28 +293,20 @@ let test_planned_monitor_matches_legacy () =
        student(s, _, a1) and student(s, _, a2) -> a1 = a2";
     ]
   in
-  let monitor planning =
-    let rng = Fcv_util.Rng.create 11 in
-    let db, _, _, _ =
-      Fcv_datagen.University.generate rng
-        { Fcv_datagen.University.default with students = 60; courses = 15; violators = 5 }
-    in
-    let m = M.create ~planning (Core.Index.create db) in
-    List.iter (fun src -> ignore (M.add m src)) constraints;
-    m
+  let rng = Fcv_util.Rng.create 11 in
+  let db, _, _, _ =
+    Fcv_datagen.University.generate rng
+      { Fcv_datagen.University.default with students = 60; courses = 15; violators = 5 }
   in
-  let planned = monitor M.Planned in
-  let legacy = monitor M.Legacy in
+  let planned = M.create (Core.Index.create db) in
+  List.iter (fun src -> ignore (M.add planned src)) constraints;
   (* several passes with a dirtying mutation in between, so the planner
      actually learns and re-plans *)
   for i = 0 to 3 do
     check (Printf.sprintf "pass %d verdicts agree" i) true
-      (M.verdicts planned = M.verdicts legacy);
-    List.iter
-      (fun m ->
-        M.insert m ~table_name:"takes" [| i; i |];
-        ignore (M.delete m ~table_name:"takes" [| i; i |]))
-      [ planned; legacy ]
+      (M.verdicts planned = auto_verdicts planned);
+    M.insert planned ~table_name:"takes" [| i; i |];
+    ignore (M.delete planned ~table_name:"takes" [| i; i |])
   done
 
 (* -- property: the pick tracks measured reality ------------------------------ *)
@@ -332,7 +328,7 @@ let prop_pick_within_2x =
         let index = index_of db [ f ] in
         let p = P.create () in
         let measure strategy =
-          let r = C.check ~strategy index f in
+          let r = C.check ~strategy index (Core.Formula.hard f) in
           P.observe p f r;
           (r.C.outcome, r.C.elapsed_ms +. r.C.bdd_overhead_ms)
         in

@@ -35,18 +35,50 @@ let test_count_over () =
 
 let test_count_restrict () =
   let m = M.create ~nvars:8 () in
+  let exact n = Option.get (Fcv_bdd.Nat.to_int_opt n) in
   let f = O.band m (M.ithvar m 2) (M.ithvar m 5) in
   (* cofactor on x2=1: x5 pinned by f, x0/x7 free *)
   check "positive cofactor" true
-    (Sat.count_restrict m f ~fix:[ (2, true) ] ~levels:[| 0; 5; 7 |] = 4.);
+    (exact (Sat.count_restrict_exact m f ~fix:[ (2, true) ] ~levels:[| 0; 5; 7 |]) = 4);
   check "negative cofactor is empty" true
-    (Sat.count_restrict m f ~fix:[ (2, false) ] ~levels:[| 0; 5; 7 |] = 0.);
+    (exact (Sat.count_restrict_exact m f ~fix:[ (2, false) ] ~levels:[| 0; 5; 7 |]) = 0);
   check "fixing the whole support" true
-    (Sat.count_restrict m f ~fix:[ (2, true); (5, true) ] ~levels:[| 0 |] = 2.);
+    (exact (Sat.count_restrict_exact m f ~fix:[ (2, true); (5, true) ] ~levels:[| 0 |]) = 2);
   check "conflicting fixes rejected" true
-    (match Sat.count_restrict m f ~fix:[ (2, true); (2, false) ] ~levels:[| 0 |] with
+    (match Sat.count_restrict_exact m f ~fix:[ (2, true); (2, false) ] ~levels:[| 0 |] with
     | exception Invalid_argument _ -> true
     | _ -> false)
+
+(* Kill counts beyond 2^53.  Over 56 levels, root = x0 ∨ (x1 ∧ x2 ∧ …
+   ∧ x55): fixing x0 leaves 2^55 models, fixing x1 leaves 2^54 + 1 (x0
+   free, or the one point), fixing both leaves 2^54 — so the union of
+   the two fixes holds exactly 2^55 + 1 models.  Summing the signed
+   terms in float, as the kill count once did, rounds the 2^54 + 1
+   term to 2^54 and loses the +1; a rival candidate killing exactly
+   2^55 then ties, and greedy's tiebreak may pick the smaller kill.
+   The exact union count keeps the unit and ranks the two. *)
+let test_kill_count_beyond_float () =
+  let module N = Fcv_bdd.Nat in
+  let m = M.create ~nvars:56 () in
+  let point =
+    List.fold_left (fun acc i -> O.band m acc (M.ithvar m i)) M.one (List.init 54 (fun i -> i + 2))
+  in
+  let root = O.bor m (M.ithvar m 0) (O.band m (M.ithvar m 1) point) in
+  let levels = Array.init 56 Fun.id in
+  let fixes = [ [ (0, true) ]; [ (1, true) ] ] in
+  let kills = Sat.count_union_exact m root ~fixes ~levels in
+  Alcotest.(check string) "union holds 2^55 + 1" "36028797018963969" (N.to_string kills);
+  (* the old arithmetic: each term rounded to float, signs summed *)
+  let term fix =
+    let free = Array.of_list (List.filter (fun l -> not (List.mem_assoc l fix)) (Array.to_list levels)) in
+    N.to_float (Sat.count_restrict_exact m root ~fix ~levels:free)
+  in
+  let float_kills = term [ (0, true) ] +. term [ (1, true) ] -. term [ (0, true); (1, true) ] in
+  check "float terms lose the +1" true (float_kills = ldexp 1. 55);
+  let rival = Sat.count_union_exact m (M.ithvar m 0) ~fixes ~levels in
+  Alcotest.(check string) "rival kills 2^55" "36028797018963968" (N.to_string rival);
+  check "float scores tie" true (float_kills = N.to_float rival);
+  check "exact scores rank the +1 first" true (N.compare kills rival > 0)
 
 (* -- deterministic enumeration ---------------------------------------------- *)
 
@@ -252,6 +284,7 @@ let suite =
   [
     Alcotest.test_case "count_over" `Quick test_count_over;
     Alcotest.test_case "count_restrict" `Quick test_count_restrict;
+    Alcotest.test_case "kill counts stay exact beyond 2^53" `Quick test_kill_count_beyond_float;
     Alcotest.test_case "enumerate is deterministic and sorted" `Quick
       test_enumerate_deterministic;
     Alcotest.test_case "exact matches brute-force minimum" `Quick test_exact_matches_brute;

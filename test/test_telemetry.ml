@@ -164,7 +164,7 @@ let test_budget_fallback () =
      trips the budget *)
   let mgr = Core.Index.mgr index in
   Fcv_bdd.Manager.set_max_nodes mgr (Fcv_bdd.Manager.size mgr + 8);
-  let r = Core.Checker.check index f in
+  let r = Core.Checker.check index (Core.Formula.hard f) in
   check "fell back off the BDD path" true (r.Core.Checker.method_used <> Core.Checker.Bdd);
   check "fallback verdict matches the naive evaluator" expected
     (r.Core.Checker.outcome = Core.Checker.Satisfied);
@@ -209,7 +209,7 @@ let test_force_sql_costs_nothing_extra () =
   let index = Core.Index.create db in
   Core.Checker.ensure_indices index [ f ];
   let expected = Core.Naive_eval.holds db f in
-  let r = Core.Checker.check ~strategy:Core.Checker.Force_sql index f in
+  let r = Core.Checker.check ~strategy:Core.Checker.Force_sql index (Core.Formula.hard f) in
   check "method is SQL" true (r.Core.Checker.method_used = Core.Checker.Sql);
   check "verdict matches the naive evaluator" expected
     (r.Core.Checker.outcome = Core.Checker.Satisfied);
